@@ -12,8 +12,9 @@ Subcommands::
 Exit codes: ``verify`` exits 0 iff both axiom suites are clean.  ``screen``
 exits 0 for PassesNecessaryConditions, 10 for NotSimpleWitness, 20 for
 OutOfScope.  ``paper-suite`` exits 0 iff every check passes.  Malformed
-files and refused budgets exit 2.  All output is deterministic given the
-flags and ``--seed``.
+files and refused budgets exit 2; ``rank`` reports a refused field degree
+and goes on, exiting 2 only when every degree is refused.  All output is
+deterministic given the flags and ``--seed``.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 
 from . import fileio, fixtures
 from .algebra import center, verify_lie
-from .errors import Lie2Error
+from .errors import BudgetExceededError, Lie2Error
 from .linalg import coeffs
 from .restricted import extend_scalars, verify_two_map
 from .roots import classify_delta, grading_check, is_standard, is_triangulable, root_decomposition
@@ -106,19 +107,25 @@ def cmd_rank(args) -> int:
     degrees = [g.field.k]
     if g.field.k == 1 and args.max_field_degree > 1:
         degrees = list(range(1, args.max_field_degree + 1))
-    ranks = {}
+    ranks = {}  # computed degrees only; a refused degree is reported and skipped
     for k in degrees:
         gk, tmk = extend_scalars(g, tm, k) if k != g.field.k else (g, tm)
-        res = toral_rank(gk, tmk, args.mode)
+        try:
+            res = toral_rank(gk, tmk, args.mode)
+        except BudgetExceededError as exc:
+            print(f"field degree {k}: refused ({exc})")
+            continue
         ranks[k] = res.rank
         flag = " (lower bound)" if res.is_lower_bound_only else ""
         print(f"field degree {k}: toral rank {res.rank}{flag}")
-    for k in degrees:
+    if not ranks:
+        return 2
+    for k in ranks:
         if 2 * k in ranks and ranks[k] == ranks[2 * k]:
             print(f"stabilization: rank equal at degrees {k} and {2 * k}")
             break
     else:
-        if len(degrees) > 1:
+        if len(ranks) > 1:
             print("stabilization: not observed within the requested degrees")
     return 0
 

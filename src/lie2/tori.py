@@ -10,6 +10,14 @@ spanned by its lower-pivot rows.  No visited-set is needed over GF(2); for
 k > 1 the search falls back to a memoized variant because canonical rows
 need not be toral there.
 
+Toral elements are found by one bit-sliced kernel for every field degree:
+x -> x^[2] + x is a quadratic map of the k*n raw bits of x, so it is
+evaluated on all 2^12 assignments of a low block of bits at once, one
+truth-table int per output coordinate, while a Gray-code walk over the
+remaining high bits updates each table by xor on every flip (see
+:func:`toral_elements`).  The torus search keeps its candidate sets as
+bitsets over toral indices.
+
 Rank values are relative to the coefficient field: over a small field a
 2-map can be invertible on an abelian subalgebra that contains no toral
 element at all, and such subspaces are invisible to a toral-basis search.
@@ -31,12 +39,12 @@ from .linalg import (
     solve,
     unit,
     vget,
-    vscale,
 )
 from .restricted import TwoMap, square
 
 TORAL_ENUM_BITS = 24        # ceiling on k*n for exhaustive toral enumeration
 TORAL_BASIS_ENUM_BITS = 20  # ceiling on k*dim(u) for k>1 toral-basis search
+_LOW_BITS = 12              # low-block width of the bit-sliced toral enumeration
 
 
 @dataclass(frozen=True)
@@ -65,12 +73,28 @@ class RankResult:
         return self.mode == "greedy"
 
 
-def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS):
-    """All nonzero t with t^[2] = t, by exhaustive enumeration.
+def _xor_into(tables, v, mask):
+    """tables[q] ^= mask for every set bit q of v."""
+    while v:
+        low = v & -v
+        tables[low.bit_length() - 1] ^= mask
+        v ^= low
 
-    For k = 1 the enumeration walks vectors in Gray-code order so each
-    square is maintained incrementally from the previous one; results are
-    returned sorted ascending regardless.
+
+def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS):
+    """All nonzero t with t^[2] = t, by exhaustive enumeration, sorted ascending.
+
+    Over the k*n raw bits x_a of a vector, F(x) = x^[2] + x is quadratic:
+    F(x) = sum_a x_a F(u_a) + sum_{a<b} x_a x_b P(u_a, u_b), where u_a = 1 << a
+    and P is the polar form of squaring (the bracket, by the sum axiom; for
+    k > 1 too, since Frobenius is additive).  The bits split into a low block
+    of h = min(k*n, _LOW_BITS) bits and a high block.  F is evaluated on all
+    2^h low assignments at once, bit-sliced: coordinate q of F is one 2^h-bit
+    int whose bit i is that coordinate at low assignment i.  The high block is
+    walked in Gray-code order; flipping high bit u_b adds the constant
+    F(u_b) + P(hi, u_b) and the cross term P(lo, u_b), which is linear in the
+    low bits and comes from a per-flip table.  The torals under one high
+    assignment are the low assignments at which no coordinate is set.
     """
     f, n = g.field, g.dim
     bits = f.k * n
@@ -79,42 +103,54 @@ def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS
             f"toral enumeration needs 2^{bits} candidates, budget is 2^{budget_bits}; "
             "shrink the field or use the greedy search"
         )
+    sq = [square(g, tm, 1 << a) for a in range(bits)]
+    lin = [s ^ (1 << a) for a, s in enumerate(sq)]  # F(u_a)
+    polar = [[0] * bits for _ in range(bits)]  # P(u_a, u_b)
+    for a in range(bits):
+        for b in range(a + 1, bits):
+            polar[a][b] = polar[b][a] = square(g, tm, (1 << a) | (1 << b)) ^ sq[a] ^ sq[b]
+
+    h = min(bits, _LOW_BITS)
+    full = (1 << (1 << h)) - 1
+    # xs[a]: the low assignments with bit a set
+    xs = [full // ((1 << (2 << a)) - 1) * (((1 << (1 << a)) - 1) << (1 << a))
+          for a in range(h)]
+    cur = [0] * bits  # coordinate tables of F(lo + hi), hi = 0 to start
+    for a in range(h):
+        _xor_into(cur, lin[a], xs[a])
+        for b in range(a + 1, h):
+            _xor_into(cur, polar[a][b], xs[a] & xs[b])
+    flips = []  # flips[b - h]: coordinate tables of P(lo, u_b)
+    for b in range(h, bits):
+        tables = [0] * bits
+        for a in range(h):
+            _xor_into(tables, polar[a][b], xs[a])
+        flips.append(tables)
+
     out = []
-    if f.k == 1:
-        table, images = g.table, tm.images
-        cur = 0
-        sq = 0
-        for c in range(1, 1 << n):
-            b = (c & -c).bit_length() - 1
-            # square(cur ^ e_b) = square(cur) + square(e_b) + [cur, e_b]
-            delta = images[b]
-            xs = cur
-            while xs:
-                low = xs & -xs
-                delta ^= table[low.bit_length() - 1][b]
-                xs ^= low
-            cur ^= 1 << b
-            sq ^= delta
-            if sq == cur:
-                out.append(cur)
-        out.sort()
-        return out
-    # k > 1: same Gray walk over the raw bit space; flipping one bit of
-    # coordinate j adds c = 2^m there, and
-    # square(x + c e_j) = square(x) + c^2 e_j^[2] + c [x, e_j]
-    images = tm.images
-    cur = 0
-    sq = 0
-    for c in range(1, 1 << (n * f.k)):
-        b = (c & -c).bit_length() - 1
-        j, m = divmod(b, f.k)
-        coeff = 1 << m
-        delta = vscale(f, images[j], f.square(coeff))
-        delta ^= vscale(f, g.bracket(cur, unit(f, j)), coeff)
-        cur ^= 1 << b
-        sq ^= delta
-        if sq == cur:
-            out.append(cur)
+    hi = 0
+    for step in range(1 << (bits - h)):
+        if step:  # flip high bit h + b, b the lowest set bit of step
+            b = (step & -step).bit_length() - 1
+            cur = [t ^ d for t, d in zip(cur, flips[b])]
+            b += h
+            const = lin[b]  # F(u_b) + P(hi, u_b)
+            rest = hi
+            while rest:
+                low = rest & -rest
+                const ^= polar[b][low.bit_length() - 1]
+                rest ^= low
+            _xor_into(cur, const, full)
+            hi ^= 1 << b
+        nonzero = 0
+        for t in cur:
+            nonzero |= t
+        zeros = full ^ nonzero
+        while zeros:
+            low = zeros & -zeros
+            out.append(hi | (low.bit_length() - 1))
+            zeros ^= low
+    out.remove(0)  # F(0) = 0
     out.sort()
     return out
 
@@ -204,55 +240,70 @@ def _max_toral_span_gf2(g: LieAlgebra, torals):
     rows have pairwise-distinct pivots, the number of distinct candidate
     pivots above the current one bounds all further growth; that prune
     collapses the search as soon as one maximum-dimension span is found.
-    Returns (rows, generators).
+    Candidate sets are bitsets over toral indices, visited in ascending
+    index order.  Returns (rows, generators).
     """
     f, n = g.field, g.dim
-    tau = len(torals)
+    everyone = (1 << len(torals)) - 1
     piv = [(t & -t).bit_length() - 1 for t in torals]
-    adcols = {}
+    has = [0] * n      # has[q]: torals with coordinate q set
+    pivots = [0] * n   # pivots[q]: torals with pivot q
+    for j, t in enumerate(torals):
+        _xor_into(has, t, 1 << j)
+        pivots[piv[j]] |= 1 << j
+    above = [0] * n    # above[p]: torals with pivot greater than p
+    for p in range(n - 2, -1, -1):
+        above[p] = above[p + 1] | pivots[p + 1]
+    table = g.table
+    adj = {}
 
-    def commutes(i, j):
-        cols = adcols.get(i)
-        if cols is None:
-            ti = torals[i]
-            cols = [g.bracket(ti, 1 << q) for q in range(n)]
-            adcols[i] = cols
-        acc = 0
-        v = torals[j]
-        while v:
-            low = v & -v
-            acc ^= cols[low.bit_length() - 1]
-            v ^= low
-        return acc == 0
+    def commuting(i):
+        """The torals that commute with torals[i], as a bitset."""
+        s = adj.get(i)
+        if s is None:
+            cols = [0] * n  # cols[q] = [torals[i], e_q]
+            t = torals[i]
+            while t:
+                low = t & -t
+                cols = [c ^ x for c, x in zip(cols, table[low.bit_length() - 1])]
+                t ^= low
+            coords = [0] * n  # coordinate r of [torals[i], torals[j]], every j at once
+            for q, col in enumerate(cols):
+                _xor_into(coords, col, has[q])
+            nonzero = 0
+            for c in coords:
+                nonzero |= c
+            s = adj[i] = everyone & ~nonzero
+        return s
 
-    best_rows: tuple = ()
-    best_gens: tuple = ()
+    # Generators are added in strictly increasing pivot order, so they stay
+    # independent and only the best span needs reducing.
+    best: tuple = ()
 
-    def visit(rows, gens, cand):
-        nonlocal best_rows, best_gens
-        if len(rows) > len(best_rows):
-            best_rows, best_gens = rows, gens
+    def visit(gens, cand):
+        nonlocal best
+        if len(gens) > len(best):
+            best = gens
         if not cand:
             return
-        pivset = sorted({piv[j] for j in cand})
-        if len(rows) + len(pivset) <= len(best_rows):
+        pivset = [q for q in range(n) if cand & pivots[q]]
+        if len(gens) + len(pivset) <= len(best):
             return
-        for idx in cand:
+        # growth bound of each child: its own row plus the pivots above it
+        bound = {q: len(gens) + len(pivset) - i for i, q in enumerate(pivset)}
+        rest = cand
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            idx = low.bit_length() - 1
             p = piv[idx]
-            above = sum(1 for q in pivset if q > p)
-            if len(rows) + 1 + above <= len(best_rows):
-                continue
-            v = torals[idx]
-            new_cand = [
-                j
-                for j in cand
-                if piv[j] > p and not ((torals[j] >> p) & 1) and commutes(idx, j)
-            ]
-            new_rows, _ = rref_rows(f, list(rows) + [v])
-            visit(tuple(new_rows), gens + (torals[idx],), new_cand)
+            if bound[p] > len(best):
+                sub = cand & above[p] & commuting(idx)
+                if sub or len(gens) >= len(best):  # a leaf matters only as a new best
+                    visit(gens + (torals[idx],), sub)
 
-    visit((), (), list(range(tau)))
-    return best_rows, best_gens
+    visit((), everyone)
+    return tuple(rref_rows(f, list(best))[0]), best
 
 
 def _max_toral_span_generic(g: LieAlgebra, tm: TwoMap, torals):

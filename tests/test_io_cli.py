@@ -5,10 +5,12 @@ import sys
 
 import pytest
 
+from lie2.algebra import abelian
 from lie2.cli import main
 from lie2.errors import FileFormatError
 from lie2.fileio import dumps, load, loads, save
 from lie2.fixtures import delta0, f6, f7, gl, torus, u2, witt
+from lie2.restricted import TwoMap
 
 GOOD_HEADER = "lie2algebra 1\nname t\ndim 2\nfield_degree 1\n"
 
@@ -117,6 +119,7 @@ def files(tmp_path_factory):
     for name, build in [
         ("f6", f6), ("torus3", lambda: torus(3)), ("gl2", lambda: gl(2)),
         ("equal2", lambda: delta0((2,) * 7)), ("u1", lambda: delta0((2, 1, 1, 1, 1, 1, 1))),
+        ("u2", u2), ("abelian25", lambda: (abelian(25), TwoMap([0] * 25))),
     ]:
         g, tm = build()
         path = root / f"{name}.l2a"
@@ -195,6 +198,21 @@ def test_cli_rank_stabilization(files, capsys):
     assert "field degree 1: toral rank 2" in out
     assert "field degree 2: toral rank 2" in out
     assert "stabilization: rank equal at degrees 1 and 2" in out
+
+
+def test_cli_rank_reports_refused_degree_and_continues(files, capsys):
+    # over GF(4) the dim-15 u2 needs 2^30 toral candidates, beyond the budget
+    assert main(["rank", files["u2"]]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "field degree 1: toral rank 3"
+    assert out[1].startswith("field degree 2: refused (") and "2^30" in out[1]
+    assert len(out) == 2  # one computed degree: no stabilization to compare
+
+
+def test_cli_rank_exits_2_when_every_degree_is_refused(files, capsys):
+    assert main(["rank", files["abelian25"], "--max-field-degree", "1"]) == 2
+    out = capsys.readouterr().out
+    assert out.startswith("field degree 1: refused (") and "2^25" in out
 
 
 def test_cli_rank_greedy_flag(files, capsys):

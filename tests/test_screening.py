@@ -503,10 +503,13 @@ def test_screen_budget_refusal():
 
 
 def test_screen_passes_on_equal_dims():
-    g, tm = delta0((2,) * 7)
-    res = simplicity_screen(g, tm)
-    assert res.verdict == VERDICT_PASSES
-    assert res.ideal is None
+    # dim 17, and dim 24: the top of the 2^24 toral-enumeration budget
+    for dims, dim in (((2,) * 7, 17), ((3,) * 7, 24)):
+        g, tm = delta0(dims)
+        assert g.dim == dim
+        res = simplicity_screen(g, tm)
+        assert res.verdict == VERDICT_PASSES
+        assert res.ideal is None
 
 
 # -- the oracle -----------------------------------------------------------------------------------

@@ -11,11 +11,28 @@ import pytest
 from lie2.algebra import LieAlgebra, abelian, center
 from lie2.errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from lie2.field import gf
-from lie2.fixtures import f6, f7, gl, rank2sq, torus, u1, u2, witt
+from lie2.fixtures import (
+    delta2,
+    f6,
+    f6n,
+    f7,
+    gl,
+    gltor,
+    permute_basis,
+    rank2sq,
+    sl,
+    torus,
+    u1,
+    u2,
+    vacuity_family,
+    witt,
+)
 from lie2.linalg import Subspace, coeffs, unit, vector
 from lie2.restricted import TwoMap, extend_scalars, square
 from lie2.tori import (
     Torus,
+    _max_toral_span_generic,
+    _max_toral_span_gf2,
     is_torus,
     maximal_torus,
     toral_basis,
@@ -76,10 +93,45 @@ def test_toral_elements_budget():
         toral_elements(g, TwoMap([0] * 25))
 
 
+# The fixture corpus of the paper suite, the u2 relabellings of its vacuity
+# sweep, sl(2), and sl(3) relabelled so that its last two coordinates do not
+# commute.  Inputs over 12 bits walk the high block, and the relabellings
+# make high bits meet with nonzero brackets.
+CORPUS = {
+    "torus1": lambda: torus(1), "torus2": lambda: torus(2), "torus3": lambda: torus(3),
+    "torus4": lambda: torus(4), "f6": f6, "f6n": f6n, "f7": f7, "delta2": delta2, "u1": u1,
+    "u2": u2, "gl2": lambda: gl(2), "gl3": lambda: gl(3), "sl2": lambda: sl(2),
+    "sl3": lambda: permute_basis(*sl(3), [0, 1, 2, 3, 4, 7, 5, 6]),
+    "witt1": lambda: witt(1), "witt2": lambda: witt(2), "rank2sq": rank2sq, "gltor": gltor,
+}
+CORPUS.update((label, build) for label, build in vacuity_family() if label.startswith("u2_"))
+
+
 def test_toral_elements_incremental_matches_direct():
-    g, tm = f6()
-    direct = sorted(v for v in range(1, 64) if square(g, tm, v) == v)
-    assert toral_elements(g, tm) == direct
+    # the bit-sliced kernel against the definition, over GF(2), GF(4), GF(8)
+    checked = 0
+    for name, build in CORPUS.items():
+        g, tm = build()
+        for k in (1, 2, 3):
+            if k * g.dim > 16:
+                continue
+            gk, tmk = extend_scalars(g, tm, k) if k > 1 else (g, tm)
+            direct = [v for v in range(1, 1 << (k * g.dim)) if square(gk, tmk, v) == v]
+            assert toral_elements(gk, tmk) == direct, (name, k)
+            checked += 1
+    assert checked == 46
+
+
+@pytest.mark.parametrize("name", sorted(n for n in CORPUS if not n.startswith("u2")))
+def test_bitset_search_matches_generic_search(name):
+    # u2 is left out: the memoized generic search takes about 30 s on its 608 torals
+    g, tm = CORPUS[name]()
+    torals = toral_elements(g, tm)
+    rows, gens = _max_toral_span_gf2(g, torals)
+    generic_rows, _ = _max_toral_span_generic(g, tm, torals)
+    assert len(rows) == len(generic_rows)
+    assert Subspace.from_vectors(F2, g.dim, gens) == Subspace(F2, g.dim, rows)
+    assert is_torus(g, tm, Subspace(F2, g.dim, rows))
 
 
 # -- torus recognition -----------------------------------------------------------
