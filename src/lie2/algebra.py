@@ -18,7 +18,6 @@ from .linalg import (
     Matrix,
     Subspace,
     kernel_of_map,
-    reduce_vector,
     rref_rows,
     support,
     unit,
@@ -228,24 +227,51 @@ def is_ideal(g: LieAlgebra, u: Subspace) -> bool:
     )
 
 
-def ideal_closure(g: LieAlgebra, u: Subspace) -> Subspace:
-    """Smallest ideal containing u (spinning).
+def spin(g: LieAlgebra, vectors):
+    """Yield a basis of the ideal generated by ``vectors``, one row at a time.
 
-    Repeatedly brackets the current basis against the ambient basis; by
-    bilinearity that reaches the same closure as bracketing against every
-    element.  Terminates within dim(g) growth steps.
+    Keeps an echelon basis as a dict from pivot (lowest nonzero coordinate)
+    to row.  Every seed, then every bracket [r, b_j] of a yielded row r with
+    a basis vector, is reduced by dict lookups at its lowest coordinate
+    until that coordinate is no pivot; a nonzero residual is scaled to
+    coefficient 1 there, stored and yielded.  By bilinearity the yielded
+    rows span the ideal; the caller may stop early.  At most dim(g) rows.
     """
     f, n = g.field, g.dim
-    rows = list(u.rows)
-    work = list(u.rows)
-    while work:
-        r = work.pop()
-        for j in range(n):
-            w = reduce_vector(f, rows, g.bracket(r, unit(f, j)))
-            if w:
-                rows, _ = rref_rows(f, rows + [w])
-                work.append(w)
-    return Subspace(f, n, tuple(rows))
+    k, mask = f.k, f.mask
+    echelon = {}
+    rows = []
+
+    def candidates():
+        yield from vectors
+        i = 0
+        while i < len(rows):  # rows grows while it is read
+            r = rows[i]
+            i += 1
+            for j in range(n):
+                yield g.bracket(r, unit(f, j))
+
+    for w in candidates():
+        while w:
+            p = ((w & -w).bit_length() - 1) // k
+            other = echelon.get(p)
+            c = (w >> (p * k)) & mask
+            if other is None:
+                if c != 1:
+                    w = vscale(f, w, f.inv(c))
+                echelon[p] = w
+                rows.append(w)
+                yield w
+                if len(rows) == n:
+                    return
+                break
+            w ^= other if c == 1 else vscale(f, other, c)
+
+
+def ideal_closure(g: LieAlgebra, u: Subspace) -> Subspace:
+    """Smallest ideal containing u: one elimination of the rows :func:`spin` yields."""
+    rows, _ = rref_rows(g.field, spin(g, u.rows))
+    return Subspace(g.field, g.dim, rows)
 
 
 def acts_nilpotently(g: LieAlgebra, s: Subspace) -> bool:

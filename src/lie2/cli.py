@@ -11,10 +11,10 @@ Subcommands::
 
 Exit codes: ``verify`` exits 0 iff both axiom suites are clean.  ``screen``
 exits 0 for PassesNecessaryConditions, 10 for NotSimpleWitness, 20 for
-OutOfScope.  ``paper-suite`` exits 0 iff every check passes.  Malformed
-files and refused budgets exit 2; ``rank`` reports a refused field degree
-and goes on, exiting 2 only when every degree is refused.  All output is
-deterministic given the flags and ``--seed``.
+OutOfScope.  ``paper-suite`` exits 0 iff every check passes.  Malformed,
+unreadable or non-ASCII files and refused budgets exit 2; ``rank`` reports
+a refused field degree and goes on, exiting 2 only when every degree is
+refused.  All output is deterministic given the flags and ``--seed``.
 """
 
 from __future__ import annotations

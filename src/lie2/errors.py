@@ -53,9 +53,13 @@ class FixtureError(Lie2Error):
 
 
 class FileFormatError(Lie2Error):
-    """Malformed algebra file.  Carries the 1-based line number and a code."""
+    """Malformed algebra file.  Carries the 1-based line number and a code.
+
+    The line number is None when the file could not be read at all.
+    """
 
     def __init__(self, lineno, code, message):
-        super().__init__(f"line {lineno}: {code}: {message}")
+        where = "" if lineno is None else f"line {lineno}: "
+        super().__init__(f"{where}{code}: {message}")
         self.lineno = lineno
         self.code = code

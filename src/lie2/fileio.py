@@ -179,5 +179,17 @@ def loads(text: str):
 
 
 def load(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return loads(fh.read())
+    """Read and parse a file; an unreadable or non-ASCII file is a FileFormatError."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        raise FileFormatError(None, "Unreadable", f"{path}: {exc.strerror or exc}") from None
+    try:
+        text = data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(
+            data.count(b"\n", 0, exc.start) + 1, "NonAscii",
+            f"byte {data[exc.start]:#04x} at offset {exc.start} is not ASCII"
+        ) from None
+    return loads(text)

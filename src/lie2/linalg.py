@@ -126,6 +126,12 @@ def rref_rows(field: GF2k, rows):
                     c = (row >> (p * k)) & mask
                     if c != 1:
                         row = vscale(field, row, field.inv(c))
+                # clear the existing pivot columns in this row; each is above p,
+                # so p stays its pivot
+                for q, other in basis.items():
+                    c2 = (row >> (q * k)) & mask
+                    if c2:
+                        row ^= other if c2 == 1 else vscale(field, other, c2)
                 # clear this pivot column in existing rows
                 for q, other in basis.items():
                     c2 = (other >> (p * k)) & mask

@@ -28,6 +28,10 @@ proper ideals.  The central facts, each realized as a checkable operation:
 Every produced IdealReport re-verifies its subspace from scratch (ideal
 property, properness, nonzeroness), and :func:`is_simple` gives the
 independent brute-force verdict by spinning every 1-dimensional generator.
+It stops a spin as soon as the spin reaches an earlier generator: that
+generator's closure is already known to be the whole algebra, and a proper
+closure never contains one, so the verdict, the closure count and the
+counterexample are those of spinning every closure in full.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .algebra import (
     center,
     ideal_closure,
     is_ideal,
+    spin,
 )
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
 from .linalg import Subspace, kernel_of_map, pivot_index, rref_rows, solve, vget, vscale
@@ -701,10 +706,20 @@ def is_simple(g: LieAlgebra, tm: TwoMap, budget_bits: int = SIMPLE_ORACLE_BITS) 
     """Brute-force simplicity oracle.
 
     Spins every 1-dimensional generator (all nonzero vectors over GF(2),
-    one projective representative per line over extensions) and declares
-    simple iff every closure is the whole algebra and dim != 1.  Any proper
-    nonzero ideal contains a nonzero vector, whose closure is then a proper
-    nonzero ideal, so the enumeration is sound and complete.
+    one projective representative per line over extensions), in ascending
+    integer order, and declares simple iff every closure is the whole
+    algebra and dim != 1.  Any proper nonzero ideal contains a nonzero
+    vector, whose closure is then a proper nonzero ideal, so the
+    enumeration is sound and complete.
+
+    Each spin stops at the first row w < v that :func:`spin` yields for the
+    generator v.  A yielded row has coefficient 1 at its lowest nonzero
+    coordinate, so w is the projective representative of a generator spun
+    before v; every earlier closure was the whole algebra, or the oracle
+    would have returned, hence ideal(v) contains ideal(w) = g.  A proper
+    ideal(v) contains no earlier generator, so its spin never stops early:
+    the generators, their order, ``closures_run``, the counterexample and the
+    verdict are those of spinning every closure in full.
     """
     f, n = g.field, g.dim
     if n < 2:
@@ -713,13 +728,17 @@ def is_simple(g: LieAlgebra, tm: TwoMap, budget_bits: int = SIMPLE_ORACLE_BITS) 
         raise BudgetExceededError(
             f"simplicity oracle needs 2^{f.k * n} closures, budget is 2^{budget_bits}"
         )
-    full = g.full_space()
     closures = 0
     for v in range(1, 1 << (f.k * n)):
         if f.k > 1 and vget(f, v, pivot_index(f, v)) != 1:
             continue  # projective representative only
         closures += 1
-        cl = ideal_closure(g, g.subspace([v]))
-        if cl.dim < n:
-            return SimplicityVerdict(False, v, closures, "proper nonzero ideal found")
+        dim = 0
+        for w in spin(g, [v]):
+            if w < v:
+                break  # an earlier generator: ideal(v) is the whole algebra
+            dim += 1
+        else:
+            if dim < n:
+                return SimplicityVerdict(False, v, closures, "proper nonzero ideal found")
     return SimplicityVerdict(True, None, closures, None)

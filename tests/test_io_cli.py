@@ -161,6 +161,37 @@ def test_cli_verify_malformed_file(tmp_path, capsys):
     assert "UnsupportedVersion" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose", "rank", "screen", "simple"])
+def test_cli_unreadable_file_is_a_clean_refusal(tmp_path, capsys, command):
+    missing = tmp_path / "missing.l2a"
+    non_ascii = tmp_path / "latin.l2a"
+    non_ascii.write_bytes(b"lie2algebra 1\nname caf\xe9\n")
+    for path, code in [(missing, "Unreadable"), (tmp_path, "Unreadable"), (non_ascii, "NonAscii")]:
+        assert main([command, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and code in err and "Traceback" not in err
+
+
+def test_load_unreadable_raises_file_format_error(tmp_path):
+    with pytest.raises(FileFormatError) as err:
+        load(tmp_path / "missing.l2a")
+    assert err.value.code == "Unreadable" and err.value.lineno is None
+    p = tmp_path / "bad.l2a"
+    p.write_bytes(b"lie2algebra 1\nname ok\ndim \xff\n")
+    with pytest.raises(FileFormatError) as err:
+        load(p)
+    assert err.value.code == "NonAscii" and err.value.lineno == 3
+
+
+def test_cli_entrypoint_missing_file_has_no_traceback(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "lie2.cli", "verify", str(tmp_path / "missing.l2a")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: Unreadable") and "Traceback" not in proc.stderr
+
+
 def test_cli_decompose(files, capsys):
     assert main(["decompose", files["f6"]]) == 0
     out = capsys.readouterr().out

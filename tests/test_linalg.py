@@ -5,7 +5,8 @@ this module: ranks by enumerating all row combinations, intersections and
 memberships by enumerating whole subspaces.
 """
 
-from itertools import product
+import random
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,9 +19,12 @@ from lie2.linalg import (
     coeffs,
     kernel_of_map,
     nullspace,
+    pivot_index,
     rref,
+    rref_rows,
     solve,
     vector,
+    vget,
     vscale,
 )
 
@@ -68,6 +72,24 @@ def test_rref_idempotent():
     m = Matrix.from_entries(F2, [[1, 0, 1], [1, 1, 0], [0, 1, 1]])
     assert rref(rref(m)) == rref(m)
     assert m.rank() == rank_oracle(F2, 3, m.rows)
+
+
+def test_rref_rows_canonical_under_row_order():
+    # rows that reduce only at their lowest pivot keep entries at earlier pivots
+    assert rref_rows(F2, [0b100, 0b110]) == rref_rows(F2, [0b110, 0b100]) == ([2, 4], [1, 2])
+    rng = random.Random(5)
+    for k in (1, 2, 3):
+        f = gf(k)
+        for _ in range(20):
+            n = rng.randrange(2, 6)
+            rows = [rng.randrange(1 << (n * k)) for _ in range(rng.randrange(1, 5))]
+            outputs = {tuple(map(tuple, rref_rows(f, list(p)))) for p in permutations(rows)}
+            assert len(outputs) == 1, (k, rows, outputs)
+            out, pivots = rref_rows(f, rows)
+            assert enumerate_span(f, n, out) == enumerate_span(f, n, rows)
+            for row, p in zip(out, pivots):
+                assert pivot_index(f, row) == p and vget(f, row, p) == 1
+                assert all(vget(f, other, p) == 0 for other in out if other != row)
 
 
 def test_rref_gf4_normalizes_pivots():

@@ -23,14 +23,15 @@ from lie2.fixtures import (
     graded,
     permute_basis,
     rank2sq,
+    sl,
     torus,
     u1,
     u2,
     vacuity_family,
     witt,
 )
-from lie2.linalg import unit
-from lie2.restricted import TwoMap
+from lie2.linalg import pivot_index, unit, vget
+from lie2.restricted import TwoMap, extend_scalars
 from lie2.roots import RootFunctional, Torus, grading_check, root_decomposition
 from lie2.screening import (
     LEMMA_AB_GT_AG,
@@ -555,3 +556,67 @@ def test_screen_and_oracle_agree():
             if res.verdict == VERDICT_WITNESS:
                 assert not verdict.simple, g.name
             assert not (res.verdict == VERDICT_WITNESS and verdict.simple)
+
+
+def plain_spin_oracle(g):
+    """Reference oracle: every generator's full ideal closure, no shortcut."""
+    f, n = g.field, g.dim
+    if n < 2:
+        return False, None, 0
+    closures = 0
+    for v in range(1, 1 << (f.k * n)):
+        if f.k > 1 and vget(f, v, pivot_index(f, v)) != 1:
+            continue
+        closures += 1
+        if ideal_closure(g, g.subspace([v])).dim < n:
+            return False, v, closures
+    return True, None, closures
+
+
+def _oracle_differential_cases():
+    corpus = [f6, f6n, f7, delta2, u1, u2, gltor, rank2sq,
+              lambda: gl(2), lambda: gl(3), lambda: witt(1), lambda: witt(2),
+              lambda: sl(3), lambda: sl(4)] + [lambda r=r: torus(r) for r in (1, 2, 3, 4)]
+    cases = []
+    for seed, build in enumerate(corpus):
+        g, tm = build()
+        assert g.field.k * g.dim <= 16, g.name
+        cases.append((g, tm))
+        rng = random.Random(seed)
+        for _ in range(2):
+            perm = list(range(g.dim))
+            rng.shuffle(perm)
+            cases.append(permute_basis(g, tm, perm))
+    for build in (f6, lambda: gl(2), lambda: sl(3)):
+        cases.append(extend_scalars(*build(), 2))
+    cases.extend(build() for _, build in vacuity_family()[:20])
+    return cases
+
+
+def test_oracle_shortcut_matches_plain_spin():
+    # stopping a spin at an earlier generator changes no verdict, count or counterexample
+    for g, tm in _oracle_differential_cases():
+        v = is_simple(g, tm)
+        assert (v.simple, v.counterexample, v.closures_run) == plain_spin_oracle(g), g.name
+
+
+def test_oracle_positive_control_sl3():
+    g, tm = sl(3)
+    v = is_simple(g, tm)
+    assert v.simple is True and v.counterexample is None and v.closures_run == 255
+
+
+def test_oracle_positive_control_sl3_over_gf4():
+    g, tm = extend_scalars(*sl(3), 2)
+    v = is_simple(g, tm)
+    assert v.simple is True and v.closures_run == (4 ** 8 - 1) // 3 == 21845
+
+
+def test_oracle_sl4_counterexample_is_the_centre():
+    # basis: the 12 off-diagonal units, then h_p = E_pp + E_(p+1)(p+1) for p = 0, 1, 2
+    g, tm = sl(4)
+    v = is_simple(g, tm)
+    identity = unit(g.field, 12) | unit(g.field, 14)  # h_0 + h_2
+    assert not v.simple and v.counterexample == identity and v.closures_run == 20480
+    cl = ideal_closure(g, g.subspace([identity]))
+    assert cl.dim == 1 and cl == center(g)
