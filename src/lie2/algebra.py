@@ -17,6 +17,7 @@ from .field import GF2k, gf
 from .linalg import (
     Matrix,
     Subspace,
+    _reduce,
     kernel_of_map,
     rref_rows,
     support,
@@ -83,11 +84,6 @@ class LieAlgebra:
             table[j][i] = v
         return cls(field, dim, table, name)
 
-    @classmethod
-    def from_entry_table(cls, field, dim, raw, name=None) -> "LieAlgebra":
-        """Build from a full (possibly invalid) table of packed vectors."""
-        return cls(field, dim, raw, name)
-
     def __repr__(self):
         return f"LieAlgebra({self.name or 'unnamed'}, dim {self.dim} over {self.field})"
 
@@ -124,9 +120,6 @@ class LieAlgebra:
                 if c:
                     acc ^= vscale(f, row[j], c)
         return acc
-
-    def ad_apply(self, x: int, v: int) -> int:
-        return self.bracket(x, v)
 
     def ad_matrix(self, x: int) -> Matrix:
         """The matrix of ad(x); column j is [x, b_j]."""
@@ -230,15 +223,13 @@ def is_ideal(g: LieAlgebra, u: Subspace) -> bool:
 def spin(g: LieAlgebra, vectors):
     """Yield a basis of the ideal generated by ``vectors``, one row at a time.
 
-    Keeps an echelon basis as a dict from pivot (lowest nonzero coordinate)
-    to row.  Every seed, then every bracket [r, b_j] of a yielded row r with
-    a basis vector, is reduced by dict lookups at its lowest coordinate
-    until that coordinate is no pivot; a nonzero residual is scaled to
-    coefficient 1 there, stored and yielded.  By bilinearity the yielded
+    Every seed, then every bracket [r, b_j] of a yielded row r with a basis
+    vector, is fed to the elimination primitive of :mod:`lie2.linalg`; a
+    nonzero residual comes back scaled to coefficient 1 at its lowest
+    nonzero coordinate, stored and is yielded.  By bilinearity the yielded
     rows span the ideal; the caller may stop early.  At most dim(g) rows.
     """
     f, n = g.field, g.dim
-    k, mask = f.k, f.mask
     echelon = {}
     rows = []
 
@@ -252,20 +243,12 @@ def spin(g: LieAlgebra, vectors):
                 yield g.bracket(r, unit(f, j))
 
     for w in candidates():
-        while w:
-            p = ((w & -w).bit_length() - 1) // k
-            other = echelon.get(p)
-            c = (w >> (p * k)) & mask
-            if other is None:
-                if c != 1:
-                    w = vscale(f, w, f.inv(c))
-                echelon[p] = w
-                rows.append(w)
-                yield w
-                if len(rows) == n:
-                    return
-                break
-            w ^= other if c == 1 else vscale(f, other, c)
+        w = _reduce(f, echelon, w)
+        if w:
+            rows.append(w)
+            yield w
+            if len(rows) == n:
+                return
 
 
 def ideal_closure(g: LieAlgebra, u: Subspace) -> Subspace:

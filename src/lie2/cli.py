@@ -9,12 +9,23 @@ Subcommands::
     lie2 simple <file> [--budget N]
     lie2 paper-suite [--fixtures DIR]
 
-Exit codes: ``verify`` exits 0 iff both axiom suites are clean.  ``screen``
-exits 0 for PassesNecessaryConditions, 10 for NotSimpleWitness, 20 for
-OutOfScope.  ``paper-suite`` exits 0 iff every check passes.  Malformed,
-unreadable or non-ASCII files and refused budgets exit 2; ``rank`` reports
-a refused field degree and goes on, exiting 2 only when every degree is
-refused.  All output is deterministic given the flags and ``--seed``.
+Exit codes, for every subcommand:
+
+    ====  ==============================================================
+    0     success; ``verify``: both axiom suites are clean; ``screen``:
+          PassesNecessaryConditions; ``paper-suite``: every check passes
+    1     ``verify``: an axiom fails; ``paper-suite``: a check fails
+    2     refused input: a malformed, unreadable or non-ASCII file, or a
+          refused budget (``rank`` reports a refused field degree and goes
+          on, exiting 2 only when every degree is refused)
+    3     a proved containment failed (ContradictionError): a defect in
+          the program, or an input corrupted after verification
+    10    ``screen``: NotSimpleWitness
+    20    ``screen``: OutOfScope
+    ====  ==============================================================
+
+Errors go to stderr as ``error: ...``.  All output is deterministic given
+the flags and ``--seed``.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from pathlib import Path
 
 from . import fileio, fixtures
 from .algebra import center, verify_lie
-from .errors import BudgetExceededError, Lie2Error
+from .errors import BudgetExceededError, ContradictionError, Lie2Error
 from .linalg import coeffs
 from .restricted import extend_scalars, verify_two_map
 from .roots import classify_delta, grading_check, is_standard, is_triangulable, root_decomposition
@@ -48,8 +59,7 @@ from .screening import (
 )
 from .tori import maximal_torus, toral_rank
 
-SCREEN_EXIT = {VERDICT_PASSES: 0, VERDICT_WITNESS: 10, VERDICT_OUT_OF_SCOPE: 20,
-               "DimsUnequal": 10}
+SCREEN_EXIT = {VERDICT_PASSES: 0, VERDICT_WITNESS: 10, VERDICT_OUT_OF_SCOPE: 20}
 
 
 def _fmt_vec(g, v):
@@ -389,6 +399,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except ContradictionError as exc:
+        print(f"error: contradiction: {exc}", file=sys.stderr)
+        return 3
     except Lie2Error as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

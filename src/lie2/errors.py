@@ -44,7 +44,7 @@ class ContradictionError(Lie2Error):
 
     Raising this means either the input was corrupted after verification
     or there is a defect in the theory transcription; test suites treat
-    it as a hard failure.
+    it as a hard failure, and the command line exits 3.
     """
 
 

@@ -65,6 +65,15 @@ def _text_to_vector(field, n: int, text: str, lineno: int) -> int:
     return v
 
 
+def _count(parts, lineno: int) -> int:
+    """The one decimal integer after a ``dim`` or ``field_degree`` tag."""
+    # nine digits reach far past any file that can load, and keep int() clear
+    # of Python's limit on the length of digit strings
+    if len(parts) != 2 or not parts[1].isdigit() or len(parts[1]) > 9:
+        raise FileFormatError(lineno, "Malformed", f"{parts[0]} wants one integer of at most 9 digits")
+    return int(parts[1])
+
+
 def dumps(g: LieAlgebra, tm: TwoMap) -> str:
     f, n = g.field, g.dim
     out = io.StringIO()
@@ -111,21 +120,21 @@ def loads(text: str):
             if tag != FORMAT_NAME or len(parts) != 2:
                 raise FileFormatError(lineno, "MissingHeader",
                                       f"expected '{FORMAT_NAME} <version>' first")
-            if not parts[1].isdigit() or int(parts[1]) != FORMAT_VERSION:
+            if not parts[1].isdigit() or parts[1].lstrip("0") != str(FORMAT_VERSION):
                 raise FileFormatError(lineno, "UnsupportedVersion",
                                       f"format version {parts[1]} not supported")
-            header = int(parts[1])
+            header = FORMAT_VERSION
             continue
         if tag == "name":
             name = line.split(None, 1)[1] if len(parts) > 1 else ""
         elif tag == "dim":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise FileFormatError(lineno, "Malformed", "dim wants one integer")
-            dim = int(parts[1])
+            if dim is not None:
+                raise FileFormatError(lineno, "DuplicateEntry", "dim repeated")
+            dim = _count(parts, lineno)
         elif tag == "field_degree":
-            if len(parts) != 2 or not parts[1].isdigit():
-                raise FileFormatError(lineno, "Malformed", "field_degree wants one integer")
-            degree = int(parts[1])
+            if degree is not None:
+                raise FileFormatError(lineno, "DuplicateEntry", "field_degree repeated")
+            degree = _count(parts, lineno)
             if not 1 <= degree <= 16:
                 raise FileFormatError(lineno, "Malformed", "field_degree must be 1..16")
         elif tag == "bracket":
@@ -171,9 +180,10 @@ def loads(text: str):
         raise FileFormatError(1, "MissingHeader", "empty file")
     if dim is None or degree is None:
         raise FileFormatError(last, "Malformed", "missing dim or field_degree")
-    missing = [i for i in range(dim) if i not in twomap]
-    if missing:
-        raise FileFormatError(last, "Malformed", f"twomap lines missing for indices {missing}")
+    if len(twomap) != dim:  # the stored indices are distinct and below dim
+        first = next(i for i in range(dim) if i not in twomap)
+        raise FileFormatError(last, "Malformed",
+                              f"{dim - len(twomap)} twomap lines missing, the first for index {first}")
     g = LieAlgebra.from_pairs(gf(degree), dim, brackets, name)
     return g, TwoMap([twomap[i] for i in range(dim)])
 

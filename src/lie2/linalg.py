@@ -8,6 +8,13 @@ vectors of GF(2^k)^n is ``range(1 << (n*k))``.  For k = 1 this degenerates
 to the classic bit-packed-row representation where a row operation is one
 word-wise xor.
 
+All elimination runs through one loop, :func:`_reduce`, over a dict from
+pivot (lowest nonzero coordinate) to row.  :func:`rref_rows` adds a
+back-substitution for the canonical form.  :func:`kernel_of_map`,
+:func:`solve` and :meth:`Subspace.intersect` (Zassenhaus) put a tag block
+above the image.  :func:`lie2.algebra.spin` and the spans of iterated
+squares and toral elements grow an echelon one vector at a time.
+
 Everything here is immutable after construction and safe to share between
 threads; operations are pure functions of their inputs.
 """
@@ -97,10 +104,34 @@ def all_vectors(field: GF2k, n: int):
 # row reduction
 # ---------------------------------------------------------------------------
 
-def _pivot(field, v):
-    # lowest nonzero coordinate index; assumes v != 0
-    low = (v & -v).bit_length() - 1
-    return low // field.k
+def _reduce(field: GF2k, echelon: dict, row: int, limit: int | None = None) -> int:
+    """Reduce ``row`` against ``echelon`` and store what is left.
+
+    ``echelon`` maps a pivot (lowest nonzero coordinate) to a row with
+    coefficient 1 there.  ``row`` is reduced at its lowest coordinate until
+    that coordinate is no pivot.  A nonzero residual is scaled to 1 at its
+    pivot and stored, unless its pivot lies at or above ``limit``; the
+    residual is returned either way (scaled only if stored).
+
+    This is the one elimination loop of the package.  Augmented elimination
+    needs no second loop: a row that carries a tag above coordinate
+    ``limit`` has a residual with zero image part exactly when the residual
+    has run into the tag, and such a residual is not stored.  ``limit=0``
+    stores nothing, which reduces a vector against a fixed echelon.
+    """
+    k, mask = field.k, field.mask
+    while row:
+        p = ((row & -row).bit_length() - 1) // k
+        other = echelon.get(p)
+        c = (row >> (p * k)) & mask
+        if other is None:
+            if limit is None or p < limit:
+                if c != 1:
+                    row = vscale(field, row, field.inv(c))
+                echelon[p] = row
+            return row
+        row ^= other if c == 1 else vscale(field, other, c)
+    return 0
 
 
 def rref_rows(field: GF2k, rows):
@@ -110,47 +141,41 @@ def rref_rows(field: GF2k, rows):
     cleared above and below, and sorted by ascending pivot index.  The
     output is the canonical representative of the row space.
     """
-    k, mask = field.k, field.mask
-    basis = {}  # pivot index -> row
+    echelon = {}
     for row in rows:
-        while row:
-            p = _pivot(field, row)
-            if p in basis:
-                if k == 1:
-                    row ^= basis[p]
-                else:
-                    c = (row >> (p * k)) & mask
-                    row ^= vscale(field, basis[p], c)
-            else:
-                if k > 1:
-                    c = (row >> (p * k)) & mask
-                    if c != 1:
-                        row = vscale(field, row, field.inv(c))
-                # clear the existing pivot columns in this row; each is above p,
-                # so p stays its pivot
-                for q, other in basis.items():
-                    c2 = (row >> (q * k)) & mask
-                    if c2:
-                        row ^= other if c2 == 1 else vscale(field, other, c2)
-                # clear this pivot column in existing rows
-                for q, other in basis.items():
-                    c2 = (other >> (p * k)) & mask
-                    if c2:
-                        basis[q] = other ^ (row if c2 == 1 else vscale(field, row, c2))
-                basis[p] = row
-                break
-    pivots = sorted(basis)
-    return [basis[p] for p in pivots], pivots
+        _reduce(field, echelon, row)
+    pivots = sorted(echelon)
+    # back-substitution: each row is cleared at the pivots above its own
+    out = []
+    for p in reversed(pivots):
+        out.append(reduce_vector(field, out, echelon[p]))
+    out.reverse()
+    return out, pivots
 
 
 def reduce_vector(field: GF2k, rows, v: int) -> int:
     """Residual of ``v`` after eliminating against canonical ``rows``."""
     k, mask = field.k, field.mask
     for row in rows:
-        p = _pivot(field, row)
+        p = ((row & -row).bit_length() - 1) // k
         c = (v >> (p * k)) & mask
         if c:
             v ^= row if c == 1 else vscale(field, row, c)
+    return v
+
+
+def combine(field: GF2k, basis, coeffs: int) -> int:
+    """The linear combination sum_j c_j * basis[j], ``coeffs`` packed.
+
+    Coordinates of ``coeffs`` past the end of ``basis`` are ignored.
+    """
+    k, mask = field.k, field.mask
+    v = 0
+    for b in basis:
+        c = coeffs & mask
+        if c:
+            v ^= b if c == 1 else vscale(field, b, c)
+        coeffs >>= k
     return v
 
 
@@ -214,10 +239,6 @@ class Matrix:
         f = self.field
         return vector(f, (self.entry(i, j) for i in range(self.nrows)))
 
-    def transpose(self) -> "Matrix":
-        f = self.field
-        return Matrix(f, self.ncols, self.nrows, (self.column(j) for j in range(self.ncols)))
-
     def apply(self, v: int) -> int:
         """Matrix-vector product M*v for a packed length-ncols vector."""
         f = self.field
@@ -268,6 +289,13 @@ def nullspace(m: Matrix) -> "Subspace":
     return kernel_of_map(f, m.ncols, [m.column(j) for j in range(m.ncols)])
 
 
+def _tag_shift(field: GF2k, vectors) -> int:
+    """Bit offset of a tag block above every vector, on a coordinate boundary."""
+    k = field.k
+    width = max((v.bit_length() for v in vectors), default=0)
+    return ((width + k - 1) // k) * k
+
+
 def kernel_of_map(field: GF2k, domain_dim: int, images) -> "Subspace":
     """Kernel of the linear map sending e_i to ``images[i]``.
 
@@ -276,63 +304,28 @@ def kernel_of_map(field: GF2k, domain_dim: int, images) -> "Subspace":
     coordinates in the high bits, and rows whose image part cancels to zero
     surrender a kernel vector.
     """
-    k = field.k
-    width = max((im.bit_length() for im in images), default=0)
-    shift = ((width + k - 1) // k) * k  # tag block starts above the image block
-    img_mask = (1 << shift) - 1
-    basis = {}  # pivot (image coordinate) -> augmented row
+    shift = _tag_shift(field, images)
+    echelon = {}
     kernel_rows = []
     for i, im in enumerate(images):
-        row = im | (unit(field, i) << shift)
-        while row & img_mask:
-            p = _pivot(field, row & img_mask)
-            if p in basis:
-                c = vget(field, row, p)
-                row ^= basis[p] if c == 1 else vscale(field, basis[p], c)
-            else:
-                c = vget(field, row, p)
-                if c != 1:
-                    row = vscale(field, row, field.inv(c))
-                basis[p] = row
-                break
-        else:
+        row = _reduce(field, echelon, im | (unit(field, i) << shift), shift // field.k)
+        if not row & ((1 << shift) - 1):
             kernel_rows.append(row >> shift)
     return Subspace.from_vectors(field, domain_dim, kernel_rows)
 
 
 def solve(field: GF2k, images, target: int):
     """One solution x of ``sum x_i * images[i] = target`` or None."""
-    k = field.k
-    width = max([im.bit_length() for im in images] + [target.bit_length()], default=0)
-    shift = ((width + k - 1) // k) * k
-    img_mask = (1 << shift) - 1
-    rows = []
+    shift = _tag_shift(field, list(images) + [target])
+    limit = shift // field.k
+    echelon = {}
     for i, im in enumerate(images):
-        rows.append(im | (unit(field, i) << shift))
-    reduced = {}
-    for row in rows:
-        while row & img_mask:
-            p = _pivot(field, row & img_mask)
-            if p in reduced:
-                c = vget(field, row, p)
-                row ^= reduced[p] if c == 1 else vscale(field, reduced[p], c)
-            else:
-                c = vget(field, row, p)
-                if c != 1:
-                    row = vscale(field, row, field.inv(c))
-                reduced[p] = row
-                break
-    acc = target
-    combo = 0
-    while acc:
-        p = _pivot(field, acc)
-        if p not in reduced:
-            return None
-        c = vget(field, acc, p)
-        row = reduced[p] if c == 1 else vscale(field, reduced[p], c)
-        acc ^= row & img_mask
-        combo ^= row >> shift
-    return combo
+        _reduce(field, echelon, im | (unit(field, i) << shift), limit)
+    # target - sum x_i images[i] leaves the tag x once its image part is gone
+    residual = _reduce(field, echelon, target, 0)
+    if residual & ((1 << shift) - 1):
+        return None
+    return residual >> shift
 
 
 # ---------------------------------------------------------------------------
@@ -412,33 +405,23 @@ class Subspace:
         return self.sum(other)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Zassenhaus intersection; asserts the dimension formula."""
+        """Zassenhaus intersection.
+
+        Rows (u | u) for u in self and (v | 0) for v in other are reduced in
+        one pass; the residuals whose left half cancels carry a basis of the
+        intersection in their right half (the stored rows' left halves span
+        the sum, so the dimension formula holds by construction).
+        """
         self._check_ambient(other)
         f, n = self.field, self.ambient
         shift = n * f.k
-        left_mask = (1 << shift) - 1
-        stacked = [r | (r << shift) for r in self.rows] + list(other.rows)
-        reduced = {}
+        echelon = {}
         inter_rows = []
-        for row in stacked:
-            while row & left_mask:
-                p = _pivot(f, row & left_mask)
-                if p in reduced:
-                    c = vget(f, row, p)
-                    row ^= reduced[p] if c == 1 else vscale(f, reduced[p], c)
-                else:
-                    c = vget(f, row, p)
-                    if c != 1:
-                        row = vscale(f, row, f.inv(c))
-                    reduced[p] = row
-                    break
-            else:
-                if row:
-                    inter_rows.append(row >> shift)
-        result = Subspace.from_vectors(f, n, inter_rows)
-        # dim(U) + dim(V) = dim(U+V) + dim(U^V), always
-        assert self.dim + other.dim == self.sum(other).dim + result.dim
-        return result
+        for row in [r | (r << shift) for r in self.rows] + list(other.rows):
+            row = _reduce(f, echelon, row, n)
+            if row and not row & ((1 << shift) - 1):
+                inter_rows.append(row >> shift)
+        return Subspace.from_vectors(f, n, inter_rows)
 
     def vectors(self):
         """Every element of the subspace (2^(k*dim) of them)."""

@@ -34,7 +34,7 @@ from .errors import (
     PreconditionError,
     SplitFailureError,
 )
-from .linalg import Subspace, kernel_of_map, rref_rows, solve, unit, vget, vscale
+from .linalg import Subspace, combine, kernel_of_map, rref_rows, solve, unit, vget
 from .restricted import TwoMap, is_two_nilpotent, square
 from .tori import Torus
 
@@ -259,14 +259,7 @@ class ExtendedRoot:
             for i in range(len(self._h_basis))
         ]
         ker_coords = kernel_of_map(f, len(self._h_basis), images)
-        rows = []
-        for cr in ker_coords.rows:
-            v = 0
-            for j, b in enumerate(self._h_basis):
-                cj = vget(f, cr, j)
-                if cj:
-                    v ^= b if cj == 1 else vscale(f, b, cj)
-            rows.append(v)
+        rows = [combine(f, self._h_basis, cr) for cr in ker_coords.rows]
         return Subspace.from_vectors(f, self._ambient, rows)
 
 

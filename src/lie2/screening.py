@@ -48,7 +48,8 @@ from .algebra import (
     spin,
 )
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
-from .linalg import Subspace, kernel_of_map, pivot_index, rref_rows, solve, vget, vscale
+from .field import gf
+from .linalg import Subspace, combine, kernel_of_map, pivot_index, rref_rows, solve, vget
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
@@ -82,7 +83,6 @@ LEMMA_CENTER = "Center"
 LEMMA_MISSING_ROOTS = "MissingRoots"
 
 VERDICT_WITNESS = "NotSimpleWitness"
-VERDICT_DIMS_UNEQUAL = "DimsUnequal"
 VERDICT_PASSES = "PassesNecessaryConditions"
 VERDICT_OUT_OF_SCOPE = "OutOfScope"
 
@@ -136,20 +136,9 @@ def _h_coordinates(g, d, v):
 
 def _torus_projection(g, d, vectors):
     """Span of the t-components (along n) of vectors lying in h."""
-    f = g.field
-    r = len(d.torus.toral_basis)
-    rows = []
-    for v in vectors:
-        c = _h_coordinates(g, d, v)
-        t_part = 0
-        for i in range(r):
-            ci = vget(f, c, i)
-            if ci:
-                b = d.torus.toral_basis[i]
-                t_part ^= b if ci == 1 else vscale(f, b, ci)
-        if t_part:
-            rows.append(t_part)
-    return Subspace.from_vectors(f, g.dim, rows)
+    # the toral basis comes first in h, so combine reads only its coordinates
+    rows = [combine(g.field, d.torus.toral_basis, _h_coordinates(g, d, v)) for v in vectors]
+    return Subspace.from_vectors(g.field, g.dim, rows)
 
 
 def _torus_slice(g, d, combos):
@@ -200,20 +189,9 @@ def check_dim_bound(g: LieAlgebra, tm: TwoMap, d: RootDecomposition) -> DimBound
     if center(g).dim != 0:
         raise PreconditionError("dimension bound applies to centerless algebras")
     r = d.rank
-    indep = _gf2_rank([lam.as_int() for lam in d.roots])
+    indep = len(rref_rows(gf(1), [lam.as_int() for lam in d.roots])[0])
     ok = indep >= r and g.dim >= 2 * r
     return DimBoundReport(indep, r, g.dim, ok)
-
-
-def _gf2_rank(ints):
-    rows = []
-    for v in ints:
-        for r in rows:
-            v = min(v, v ^ r)
-        if v:
-            rows.append(v)
-            rows.sort(reverse=True)
-    return len(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +278,7 @@ def kernel_confinement(g, tm, d, alpha1: RootFunctional, others) -> ConfinementR
     """
     roots_all = [alpha1] + list(others)
     ints = [lam.as_int() for lam in roots_all]
-    if _gf2_rank(ints) != len(ints):
+    if len(rref_rows(gf(1), ints)[0]) != len(ints):
         raise PreconditionError("roots must be linearly independent")
     if alpha1 not in d.roots:
         raise PreconditionError("alpha1 must be a root")
@@ -319,15 +297,7 @@ def kernel_confinement(g, tm, d, alpha1: RootFunctional, others) -> ConfinementR
             bits |= lam.values[j] << i
         images.append(bits)
     coeff_kernel = kernel_of_map(f, r, images)
-    rows = []
-    for cr in coeff_kernel.rows:
-        v = 0
-        for j in range(r):
-            cj = vget(f, cr, j)
-            if cj:
-                b = d.torus.toral_basis[j]
-                v ^= b if cj == 1 else vscale(f, b, cj)
-        rows.append(v)
+    rows = [combine(f, d.torus.toral_basis, cr) for cr in coeff_kernel.rows]
     slice_sub = Subspace.from_vectors(f, g.dim, rows)
     bound = slice_sub.sum(d.nil_part)
     confined = bound.contains_space(square_span(g, tm, d, alpha1))
@@ -404,14 +374,7 @@ def n_subspace(g, tm, d, sigma: RootFunctional, delta: RootFunctional) -> Subspa
             stacked |= b << (t * g.dim * f.k)
         images.append(stacked)
     coeff_kernel = kernel_of_map(f, sp.dim, images)
-    rows = []
-    for cr in coeff_kernel.rows:
-        v = 0
-        for j in range(sp.dim):
-            cj = vget(f, cr, j)
-            if cj:
-                v ^= sp.rows[j] if cj == 1 else vscale(f, sp.rows[j], cj)
-        rows.append(v)
+    rows = [combine(f, sp.rows, cr) for cr in coeff_kernel.rows]
     return Subspace.from_vectors(f, g.dim, rows)
 
 

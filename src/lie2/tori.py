@@ -33,12 +33,13 @@ from .algebra import LieAlgebra, centralizer
 from .errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from .linalg import (
     Subspace,
+    _reduce,
+    combine,
     kernel_of_map,
     reduce_vector,
     rref_rows,
     solve,
     unit,
-    vget,
 )
 from .restricted import TwoMap, square
 
@@ -199,31 +200,19 @@ def toral_basis(g: LieAlgebra, tm: TwoMap, u: Subspace):
             raise FieldTooSmallError(
                 "torus has no basis of toral elements over GF(2); extend the field"
             )
-        basis = []
-        for coeff_row in fixed.rows:
-            v = 0
-            for j in range(d):
-                if vget(f, coeff_row, j):
-                    v ^= u.rows[j]
-            basis.append(v)
-        return basis
+        return [combine(f, u.rows, c) for c in fixed.rows]
     if f.k * u.dim > TORAL_BASIS_ENUM_BITS:
         raise BudgetExceededError("toral basis search over extension field exceeds budget")
-    fixed = [v for v in u.vectors() if v and square(g, tm, v) == v]
-    rows, _ = rref_rows(f, fixed)
-    if len(rows) != u.dim:
-        raise FieldTooSmallError(
-            "torus has no basis of toral elements over this field; extend the field"
-        )
-    # pick actual toral elements forming an independent set
-    basis, span = [], []
-    for v in fixed:
-        if reduce_vector(f, span, v):
+    # the first toral elements, in enumeration order, that are independent
+    basis, echelon = [], {}
+    for v in u.vectors():
+        if v and square(g, tm, v) == v and _reduce(f, echelon, v):
             basis.append(v)
-            span, _ = rref_rows(f, span + [v])
             if len(basis) == u.dim:
-                break
-    return basis
+                return basis
+    raise FieldTooSmallError(
+        "torus has no basis of toral elements over this field; extend the field"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -351,27 +340,23 @@ def maximal_torus(g: LieAlgebra, tm: TwoMap, mode: str = "exhaustive") -> Torus:
     if mode != "greedy":
         raise ValueError(f"unknown search mode {mode!r}")
 
-    rows: list = []
+    echelon: dict = {}
     gens: list = []
+    current = Subspace.zero(f, n)
     while True:
-        current = Subspace(f, n, tuple(rows))
-        z = centralizer(g, current) if rows else Subspace.full(f, n)
+        z = centralizer(g, current)
         if f.k * z.dim > TORAL_ENUM_BITS:
             raise BudgetExceededError("greedy step exceeds the enumeration budget")
         # ambient-lexicographic candidate order keeps runs deterministic
         candidates = sorted(z.vectors()) if f.k * z.dim <= 20 else z.vectors()
-        found = None
         for v in candidates:
-            if v == 0 or reduce_vector(f, rows, v) == 0:
-                continue
-            if square(g, tm, v) == v:
-                found = v
+            if v and square(g, tm, v) == v and _reduce(f, echelon, v):
                 break
-        if found is None:
+        else:
             break
-        gens.append(found)
-        rows, _ = rref_rows(f, rows + [found])
-    return Torus(Subspace(f, n, tuple(rows)), tuple(gens))
+        gens.append(v)
+        current = Subspace(f, n, rref_rows(f, echelon.values())[0])
+    return Torus(current, tuple(gens))
 
 
 def toral_rank(g: LieAlgebra, tm: TwoMap, mode: str = "exhaustive") -> RankResult:

@@ -102,7 +102,7 @@ def test_verify_lie_reports():
 def test_verify_lie_catches_asymmetric_entry():
     # c_12^1 = 1 but c_21^1 = 0: symmetry violation at (0, 1)
     table = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    g = LieAlgebra.from_entry_table(F2, 3, table)
+    g = LieAlgebra(F2, 3, table)
     rep = verify_lie(g)
     assert not rep.ok
     assert (0, 1) in rep.symmetry_violations
@@ -110,7 +110,7 @@ def test_verify_lie_catches_asymmetric_entry():
 
 def test_verify_lie_catches_diagonal_entry():
     table = [[1, 0], [0, 0]]
-    g = LieAlgebra.from_entry_table(F2, 2, table)
+    g = LieAlgebra(F2, 2, table)
     rep = verify_lie(g)
     assert rep.alternating_violations == [(0,)]
 

@@ -4,10 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from lie2 import screening
 from lie2.algebra import abelian
 from lie2.cli import main
-from lie2.errors import FileFormatError
+from lie2.errors import ContradictionError, FileFormatError
 from lie2.fileio import dumps, load, loads, save
 from lie2.fixtures import delta0, f6, f7, gl, torus, u2, witt
 from lie2.restricted import TwoMap
@@ -96,6 +98,87 @@ def test_missing_twomap_lines():
     text = GOOD_HEADER + "bracket 0 1 0,1\ntwomap 0 0,0\n"
     with pytest.raises(FileFormatError):
         loads(text)
+
+
+# a second dim or field_degree line would redefine the space that earlier
+# bracket lines were parsed in: a crash in LieAlgebra.from_pairs for the
+# first file, a different algebra over GF(2) for the second
+REPEATED_DIM = "lie2algebra 1\nname t\ndim 3\nfield_degree 1\nbracket 0 2 1,0,0\ndim 2\n" \
+    "twomap 0 0,0\ntwomap 1 0,0\n"
+REPEATED_DEGREE = "lie2algebra 1\nname t\ndim 2\nfield_degree 2\nbracket 0 1 11,00\n" \
+    "field_degree 1\ntwomap 0 0,0\ntwomap 1 0,0\n"
+
+
+@pytest.mark.parametrize("text, lineno", [(REPEATED_DIM, 6), (REPEATED_DEGREE, 6)])
+def test_repeated_dim_or_field_degree_rejected(text, lineno):
+    with pytest.raises(FileFormatError) as err:
+        loads(text)
+    assert err.value.code == "DuplicateEntry" and err.value.lineno == lineno
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose", "rank", "screen", "simple"])
+def test_cli_refuses_repeated_dim_or_field_degree(tmp_path, capsys, command):
+    for i, text in enumerate([REPEATED_DIM, REPEATED_DEGREE]):
+        path = tmp_path / f"repeated{i}.l2a"
+        path.write_text(text)
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 6: DuplicateEntry") and not captured.out
+
+
+_FUZZ_SEEDS = [dumps(*build()) for build in (
+    lambda: torus(2, k=3), lambda: gl(2), f6,
+    lambda: (abelian(2, k=2), TwoMap([0b0001, 0b0100])),
+)]
+_FUZZ_BYTES = st.sampled_from(b"0123456789 ,#\n-+xabdegilmnprtw_")
+
+
+@st.composite
+def _mutated_file(draw):
+    data = bytearray(draw(st.sampled_from(_FUZZ_SEEDS)).encode("ascii"))
+    for _ in range(draw(st.integers(1, 6))):
+        pos = draw(st.integers(0, len(data)))
+        op = draw(st.sampled_from(("replace", "insert", "delete")))
+        if op == "insert":
+            data.insert(pos, draw(_FUZZ_BYTES))
+        elif pos < len(data):
+            if op == "replace":
+                data[pos] = draw(_FUZZ_BYTES)
+            else:
+                del data[pos]
+    return data.decode("ascii")
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_mutated_file())
+def test_fuzz_loads_refuses_or_returns_a_consistent_algebra(text):
+    try:
+        g, tm = loads(text)
+    except FileFormatError:
+        return
+    assert len(g.table) == g.dim and all(len(row) == g.dim for row in g.table)
+    assert len(tm.images) == g.dim
+    bits = g.field.k * g.dim
+    assert all(not v >> bits for row in g.table for v in row)
+    assert all(not v >> bits for v in tm.images)
+
+
+def test_missing_twomap_lines_on_a_huge_dim_is_a_cheap_refusal():
+    with pytest.raises(FileFormatError) as err:
+        loads("lie2algebra 1\ndim 999999999\nfield_degree 1\n")
+    assert "999999999 twomap lines missing, the first for index 0" in str(err.value)
+
+
+@pytest.mark.parametrize("text, code", [
+    ("lie2algebra " + "1" * 5000 + "\n", "UnsupportedVersion"),
+    ("lie2algebra 1\ndim " + "1" * 5000 + "\n", "Malformed"),
+    ("lie2algebra 1\ndim 1\nfield_degree " + "1" * 5000 + "\n", "Malformed"),
+])
+def test_digit_strings_past_the_int_conversion_limit_are_refused(text, code):
+    # int() raises ValueError on more than 4300 digits
+    with pytest.raises(FileFormatError) as err:
+        loads(text)
+    assert err.value.code == code
 
 
 def test_missing_header():
@@ -215,6 +298,18 @@ def test_cli_screen_exit_codes(files, capsys):
     assert "NotSimpleWitness" in capsys.readouterr().out
     assert main(["screen", files["torus3"]]) == 20
     assert "OutOfScope" in capsys.readouterr().out
+
+
+def test_cli_contradiction_has_its_own_exit_code(files, capsys, monkeypatch):
+    # f6 has three roots, so the screen goes through the missing-roots obstruction
+    def contradicted(*args):
+        raise ContradictionError("obstruction containment failed")
+
+    monkeypatch.setattr(screening, "missing_roots_obstruction", contradicted)
+    assert main(["screen", files["f6"]]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == "error: contradiction: obstruction containment failed\n"
+    assert not captured.out
 
 
 def test_cli_simple(files, capsys):

@@ -17,6 +17,7 @@ from lie2.linalg import (
     Matrix,
     Subspace,
     coeffs,
+    combine,
     kernel_of_map,
     nullspace,
     pivot_index,
@@ -237,6 +238,37 @@ def test_kernel_of_map_matches_bruteforce():
         if acc == 0:
             brute.add(v)
     assert enumerate_span(F2, 4, ker.rows) == brute
+
+
+def combination_oracle(field, vectors, x):
+    """sum_i x_i * vectors[i], one coordinate of x at a time."""
+    acc = 0
+    for c, v in zip(coeffs(field, len(vectors), x), vectors):
+        acc ^= vscale(field, v, c)
+    return acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.lists(st.integers(0, (1 << 3 * k) - 1), max_size=3),
+    st.integers(0, (1 << 3 * k) - 1),
+)))
+def test_solve_kernel_and_combine_against_enumeration(case):
+    # a map from GF(2^k)^m into GF(2^k)^3, m <= 3, over k = 1, 2, 3
+    k, images, target = case
+    f, m = gf(k), len(images)
+    domain = range(1 << (k * m))
+    for x in domain:
+        assert combine(f, images, x) == combination_oracle(f, images, x)
+        assert combine(f, images, x | (1 << (k * m))) == combine(f, images, x)  # past the end
+    kernel = {x for x in domain if combination_oracle(f, images, x) == 0}
+    assert enumerate_span(f, m, kernel_of_map(f, m, images).rows) == kernel
+    x = solve(f, images, target)
+    reachable = any(combination_oracle(f, images, y) == target for y in domain)
+    assert (x is not None) == reachable
+    if x is not None:
+        assert combination_oracle(f, images, x) == target
 
 
 def test_matmul_and_apply_agree():

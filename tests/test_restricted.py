@@ -6,13 +6,16 @@ split is cross-checked against a test-local brute-force search over the
 envelope, independent of both package code paths.
 """
 
-import pytest
+from functools import lru_cache
 
-from lie2.algebra import LieAlgebra
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from lie2.algebra import LieAlgebra, verify_lie
 from lie2.errors import PreconditionError
 from lie2.field import gf
-from lie2.fixtures import f6, gl, torus
-from lie2.linalg import all_vectors, coeffs, unit, vector
+from lie2.fixtures import f6, gl, gltor, torus, witt
+from lie2.linalg import all_vectors, coeffs, unit, vector, vscale
 from lie2.restricted import (
     TwoMap,
     extend_scalars,
@@ -72,8 +75,6 @@ def test_square_matches_matrix_squaring():
 
 
 def test_square_frobenius_scaling_exhaustive_small_fields():
-    from lie2.linalg import vscale
-
     for k in (2, 3, 4):
         f = gf(k)
         g, tm = torus(2, k=k)
@@ -82,6 +83,61 @@ def test_square_frobenius_scaling_exhaustive_small_fields():
                 assert square(g, tm, vscale(f, v, lam)) == vscale(
                     f, square(g, tm, v), f.square(lam)
                 )
+
+
+# -- the scalar and sum axioms are identities of square --------------------------
+# verify_two_map leaves them out; these properties keep them checked, on
+# random vectors rather than basis vectors, for every degree k <= 4.
+
+_BUILDS = {"f6": f6, "gl2": lambda: gl(2), "gltor": gltor, "witt2": lambda: witt(2)}
+
+
+@lru_cache(maxsize=None)
+def _extended(name, k):
+    g, tm = _BUILDS[name]()
+    return extend_scalars(g, tm, k)
+
+
+@st.composite
+def _algebra_and_vectors(draw, count):
+    g, tm = _extended(draw(st.sampled_from(sorted(_BUILDS))), draw(st.integers(1, 4)))
+    top = (1 << (g.field.k * g.dim)) - 1
+    return g, tm, [draw(st.integers(0, top)) for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_algebra_and_vectors(1), st.integers(0, 15))
+def test_square_scalar_axiom(case, c):
+    g, tm, (x,) = case
+    f = g.field
+    c &= f.mask
+    assert square(g, tm, vscale(f, x, c)) == vscale(f, square(g, tm, x), f.square(c))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_algebra_and_vectors(2))
+def test_square_sum_axiom(case):
+    g, tm, (x, y) = case
+    assert square(g, tm, x ^ y) == square(g, tm, x) ^ square(g, tm, y) ^ g.bracket(x, y)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1),
+                                             min_size=n * n + n, max_size=n * n + n))))
+def test_sum_axiom_fails_exactly_on_tables_verify_lie_rejects(case):
+    # the sum identity of square holds on all pairs iff the table is
+    # alternating and symmetric, the shape verify_lie checks (the Jacobi
+    # identity does not enter)
+    n, entries = case
+    table = [entries[i * n:(i + 1) * n] for i in range(n)]
+    g, tm = LieAlgebra(F2, n, table), TwoMap(entries[n * n:])
+    holds = all(
+        square(g, tm, x ^ y) == square(g, tm, x) ^ square(g, tm, y) ^ g.bracket(x, y)
+        for x in all_vectors(F2, n) for y in all_vectors(F2, n)
+    )
+    rep = verify_lie(g)
+    assert holds == (not rep.alternating_violations and not rep.symmetry_violations)
 
 
 # -- verify_two_map -------------------------------------------------------------
