@@ -25,6 +25,7 @@ save -> load -> save is byte-identical.
 from __future__ import annotations
 
 import io
+import re
 
 from .algebra import LieAlgebra
 from .errors import FileFormatError
@@ -65,13 +66,20 @@ def _text_to_vector(field, n: int, text: str, lineno: int) -> int:
     return v
 
 
-def _count(parts, lineno: int) -> int:
-    """The one decimal integer after a ``dim`` or ``field_degree`` tag."""
+def _decimal(text: str, lineno: int, what: str) -> int:
+    """A plain decimal: 1 to 9 ASCII digits, no sign, underscore or leading zero."""
     # nine digits reach far past any file that can load, and keep int() clear
     # of Python's limit on the length of digit strings
-    if len(parts) != 2 or not parts[1].isdigit() or len(parts[1]) > 9:
-        raise FileFormatError(lineno, "Malformed", f"{parts[0]} wants one integer of at most 9 digits")
-    return int(parts[1])
+    if not re.fullmatch(r"0|[1-9][0-9]{0,8}", text):
+        raise FileFormatError(lineno, "Malformed", f"{what} must be a plain decimal of at most 9 digits")
+    return int(text)
+
+
+def _count(parts, lineno: int) -> int:
+    """The one decimal after a ``dim`` or ``field_degree`` tag."""
+    if len(parts) != 2:
+        raise FileFormatError(lineno, "Malformed", f"{parts[0]} wants one integer")
+    return _decimal(parts[1], lineno, parts[0])
 
 
 def dumps(g: LieAlgebra, tm: TwoMap) -> str:
@@ -142,10 +150,8 @@ def loads(text: str):
                 raise FileFormatError(lineno, "Malformed", "bracket before dim/field_degree")
             if len(parts) != 4:
                 raise FileFormatError(lineno, "Malformed", "bracket wants: i j vector")
-            try:
-                i, j = int(parts[1]), int(parts[2])
-            except ValueError:
-                raise FileFormatError(lineno, "Malformed", "bracket indices must be integers")
+            i, j = (_decimal(parts[1], lineno, "a bracket index"),
+                    _decimal(parts[2], lineno, "a bracket index"))
             if not (0 <= i < dim and 0 <= j < dim):
                 raise FileFormatError(lineno, "DimensionMismatch",
                                       f"bracket index out of range 0..{dim - 1}")
@@ -163,10 +169,7 @@ def loads(text: str):
                 raise FileFormatError(lineno, "Malformed", "twomap before dim/field_degree")
             if len(parts) != 3:
                 raise FileFormatError(lineno, "Malformed", "twomap wants: i vector")
-            try:
-                i = int(parts[1])
-            except ValueError:
-                raise FileFormatError(lineno, "Malformed", "twomap index must be an integer")
+            i = _decimal(parts[1], lineno, "a twomap index")
             if not 0 <= i < dim:
                 raise FileFormatError(lineno, "DimensionMismatch", "twomap index out of range")
             if i in twomap:

@@ -438,7 +438,11 @@ def construct_ideal_rank3(g, tm, d: RootDecomposition) -> IdealReport:
     Searches the 168 dual-basis changes in lexicographic order, stage by
     stage in the priority order of the underlying constructions, and fires
     the first match; equal dimensions everywhere yield lemma None.  The
-    returned subspace is re-verified from scratch.
+    returned subspace is re-verified from scratch.  The eighth construction,
+    AlphaGammaGtBetaGamma, is reachable through :func:`named_construction`
+    only: whenever its hypothesis holds, an earlier stage fires (every one
+    of the 47,292 non-constant weak orderings of the seven dimensions fires
+    one of the seven stage constructions).
     """
     if center(g).dim != 0:
         raise PreconditionError("rank-3 constructions require a centerless algebra")
@@ -497,11 +501,9 @@ def construct_ideal_rank3(g, tm, d: RootDecomposition) -> IdealReport:
         if (
             dd[1] == dd[2] == dd[4] == dd[7]
             and dd[7] >= dd[3] >= dd[5] >= dd[6]
+            and dd[7] > dd[5]
         ):
-            if dd[7] > dd[5]:
-                return fire(LEMMA_ABG_GT_AG, mat)
-            if dd[5] > dd[6]:
-                return fire(LEMMA_AG_GT_BG, mat)
+            return fire(LEMMA_ABG_GT_AG, mat)
     raise ContradictionError(
         f"unequal root dimensions {dims_now} matched no construction; "
         "the stage dispatch should be exhaustive"

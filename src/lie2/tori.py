@@ -1,14 +1,27 @@
 """Toral elements, torus recognition, and relative toral rank.
 
-A toral element satisfies t^[2] = t.  Over GF(2) every nonzero element of
-a span of pairwise-commuting toral elements is again toral, so the tori
-this module finds are exactly the subspaces spanned by commuting toral
-sets, and the exhaustive rank search enumerates such subspaces through
-their canonical bases: a canonical basis row with a fresh, larger pivot is
-itself toral, so each subspace is generated exactly once from the subspace
-spanned by its lower-pivot rows.  No visited-set is needed over GF(2); for
-k > 1 the search falls back to a memoized variant because canonical rows
-need not be toral there.
+A toral element satisfies t^[2] = t.  A vector over GF(2^k) is an int of
+k*n raw bits, and the torus search and the toral-basis computation work on
+those bits over GF(2), for every k.  Two facts make that exact:
+
+1. If s and t are commuting torals, (s + t)^[2] = s^[2] + t^[2] + [s, t]
+   = s + t, so their xor is toral, and the GF(2)-span of pairwise-commuting
+   torals consists of torals.  In particular the canonical rows of such a
+   span over the raw bits are toral and carry pairwise-distinct pivots
+   (lowest set bits).  Rows in GF(2^k)-echelon form need not be toral when
+   k > 1; raw-bit rows always are.
+2. On an abelian subalgebra squaring is additive and Frobenius-semilinear,
+   (c x)^[2] = c^2 x^[2], and torals are its fixed points.  A shortest
+   GF(2^k)-relation sum c_i t_i = 0 among commuting torals with c_1 = 1
+   squares to sum c_i^2 t_i = 0; the sum of the two is shorter, so it is
+   trivial and every c_i lies in GF(2).  Hence GF(2)-independent commuting
+   torals are GF(2^k)-independent, and the GF(2)-dimension of a span of
+   commuting torals is the dimension of the torus it spans over GF(2^k).
+
+So the tori with a toral basis are exactly the spans of commuting toral
+sets, and the exhaustive rank search walks GF(2)-spans of commuting
+torals through generators of strictly increasing raw-bit pivot; no
+visited-set is needed.
 
 Toral elements are found by one bit-sliced kernel for every field degree:
 x -> x^[2] + x is a quadratic map of the k*n raw bits of x, so it is
@@ -31,20 +44,11 @@ from dataclasses import dataclass
 
 from .algebra import LieAlgebra, centralizer
 from .errors import BudgetExceededError, FieldTooSmallError, PreconditionError
-from .linalg import (
-    Subspace,
-    _reduce,
-    combine,
-    kernel_of_map,
-    reduce_vector,
-    rref_rows,
-    solve,
-    unit,
-)
+from .field import gf
+from .linalg import Subspace, _reduce, combine, kernel_of_map, rref_rows, vscale
 from .restricted import TwoMap, square
 
 TORAL_ENUM_BITS = 24        # ceiling on k*n for exhaustive toral enumeration
-TORAL_BASIS_ENUM_BITS = 20  # ceiling on k*dim(u) for k>1 toral-basis search
 _LOW_BITS = 12              # low-block width of the bit-sliced toral enumeration
 
 
@@ -176,87 +180,80 @@ def is_torus(g: LieAlgebra, tm: TwoMap, u: Subspace) -> bool:
 def toral_basis(g: LieAlgebra, tm: TwoMap, u: Subspace):
     """A basis of u consisting of toral elements.
 
-    Over GF(2) the squaring map restricted to a torus is linear, so the
-    fixed space is one kernel computation; a toral basis exists iff every
-    element of u is fixed.  Over proper extensions the fixed points are
-    found by enumeration, and may fail to span u even though u is a torus;
-    that failure is reported as FieldTooSmallError because the missing
-    basis lives in a larger field.
+    On a torus the map x -> x^[2] + x is GF(2)-linear (u is abelian, so the
+    cross term [x, y] of squaring a sum vanishes), and its kernel over GF(2)
+    is the set of toral elements of u.  The kernel is computed on the raw
+    spanning set {w^s * r : r a row of u, 0 <= s < k}, where w = x and
+    w^0, ..., w^(k-1) are a GF(2)-basis of GF(2^k).  GF(2)-independent torals are GF(2^k)-independent (see the
+    module docstring), so a toral basis exists iff the kernel has dimension
+    dim(u).  Otherwise the missing basis lives in a larger field, which is
+    reported as FieldTooSmallError.
     """
     if not is_torus(g, tm, u):
         raise PreconditionError("toral_basis requires a torus")
     f = g.field
-    if u.dim == 0:
-        return []
-    if f.k == 1:
-        # coordinates of square(r_i) in the basis of u
-        d = u.dim
-        cols = []
-        for i, r in enumerate(u.rows):
-            c = solve(f, list(u.rows), square(g, tm, r))
-            cols.append(c ^ unit(f, i))  # column i of (S + I) in u-coordinates
-        fixed = kernel_of_map(f, d, cols)
-        if fixed.dim != d:
-            raise FieldTooSmallError(
-                "torus has no basis of toral elements over GF(2); extend the field"
-            )
-        return [combine(f, u.rows, c) for c in fixed.rows]
-    if f.k * u.dim > TORAL_BASIS_ENUM_BITS:
-        raise BudgetExceededError("toral basis search over extension field exceeds budget")
-    # the first toral elements, in enumeration order, that are independent
-    basis, echelon = [], {}
-    for v in u.vectors():
-        if v and square(g, tm, v) == v and _reduce(f, echelon, v):
-            basis.append(v)
-            if len(basis) == u.dim:
-                return basis
-    raise FieldTooSmallError(
-        "torus has no basis of toral elements over this field; extend the field"
-    )
+    raw = [vscale(f, r, f.pow(2, s)) for r in u.rows for s in range(f.k)]
+    f2 = gf(1)
+    fixed = kernel_of_map(f2, len(raw), [square(g, tm, v) ^ v for v in raw])
+    if fixed.dim != u.dim:
+        raise FieldTooSmallError(
+            "torus has no basis of toral elements over this field; extend the field"
+        )
+    return [combine(f2, raw, c) for c in fixed.rows]
 
 
 # ---------------------------------------------------------------------------
 # maximal torus search
 # ---------------------------------------------------------------------------
 
-def _max_toral_span_gf2(g: LieAlgebra, torals):
-    """Maximum-dimension span of pairwise-commuting torals over GF(2).
+def _max_toral_span(g: LieAlgebra, torals):
+    """Maximum-dimension span of pairwise-commuting torals.
 
-    Orderly generation over canonical bases (see the module docstring): a
-    state is extended only by torals that are reduced against its rows and
-    carry a strictly larger pivot, so every commuting toral subspace is
-    generated exactly once and no visited-set is needed.  Since canonical
-    rows have pairwise-distinct pivots, the number of distinct candidate
-    pivots above the current one bounds all further growth; that prune
-    collapses the search as soon as one maximum-dimension span is found.
-    Candidate sets are bitsets over toral indices, visited in ascending
-    index order.  Returns (rows, generators).
+    The search works on the k*n raw bits of a vector, over GF(2), for every
+    field degree k.  Two facts make that enough (see the module docstring):
+    the GF(2)-span of commuting torals consists of torals, so each such
+    span has a basis of torals with pairwise-distinct raw-bit pivots, its
+    canonical rows; and GF(2)-independent commuting torals are
+    GF(2^k)-independent, so the GF(2)-dimension of the span is the
+    dimension of the torus it spans.  A state is extended only by torals
+    with a strictly larger pivot that commute with every generator, so the
+    generators stay independent and only the best span needs reducing.
+    Since the pivots are distinct, the number of distinct candidate pivots
+    above the current one bounds all further growth; that prune collapses
+    the search as soon as one maximum-dimension span is found.  Candidate
+    sets are bitsets over toral indices, visited in ascending index order.
+    Returns (rows, generators).
     """
-    f, n = g.field, g.dim
+    f, k = g.field, g.field.k
+    bits = k * g.dim
     everyone = (1 << len(torals)) - 1
     piv = [(t & -t).bit_length() - 1 for t in torals]
-    has = [0] * n      # has[q]: torals with coordinate q set
-    pivots = [0] * n   # pivots[q]: torals with pivot q
+    has = [0] * bits      # has[q]: torals with raw bit q set
+    pivots = [0] * bits   # pivots[q]: torals with pivot q
     for j, t in enumerate(torals):
         _xor_into(has, t, 1 << j)
         pivots[piv[j]] |= 1 << j
-    above = [0] * n    # above[p]: torals with pivot greater than p
-    for p in range(n - 2, -1, -1):
+    above = [0] * bits    # above[p]: torals with pivot greater than p
+    for p in range(bits - 2, -1, -1):
         above[p] = above[p + 1] | pivots[p + 1]
-    table = g.table
+    # table[a][b] = [u_a, u_b] for the raw bits u_a = 1 << a = w^s e_i, a = i*k + s,
+    # so [u_a, u_b] = w^(s+t) [e_i, e_j]; at k = 1 this is g.table
+    w = [f.pow(2, p) for p in range(2 * k - 1)]
+    table = [[vscale(f, g.table[a // k][b // k], w[a % k + b % k]) for b in range(bits)]
+             for a in range(bits)]
     adj = {}
 
     def commuting(i):
         """The torals that commute with torals[i], as a bitset."""
         s = adj.get(i)
         if s is None:
-            cols = [0] * n  # cols[q] = [torals[i], e_q]
+            cols = [0] * bits  # cols[q] = [torals[i], u_q]
             t = torals[i]
             while t:
                 low = t & -t
                 cols = [c ^ x for c, x in zip(cols, table[low.bit_length() - 1])]
                 t ^= low
-            coords = [0] * n  # coordinate r of [torals[i], torals[j]], every j at once
+            coords = [0] * bits  # raw bit r of [torals[i], torals[j]], every j at once
             for q, col in enumerate(cols):
                 _xor_into(coords, col, has[q])
             nonzero = 0
@@ -265,8 +262,6 @@ def _max_toral_span_gf2(g: LieAlgebra, torals):
             s = adj[i] = everyone & ~nonzero
         return s
 
-    # Generators are added in strictly increasing pivot order, so they stay
-    # independent and only the best span needs reducing.
     best: tuple = ()
 
     def visit(gens, cand):
@@ -275,7 +270,7 @@ def _max_toral_span_gf2(g: LieAlgebra, torals):
             best = gens
         if not cand:
             return
-        pivset = [q for q in range(n) if cand & pivots[q]]
+        pivset = [q for q in range(bits) if cand & pivots[q]]
         if len(gens) + len(pivset) <= len(best):
             return
         # growth bound of each child: its own row plus the pivots above it
@@ -295,31 +290,6 @@ def _max_toral_span_gf2(g: LieAlgebra, torals):
     return tuple(rref_rows(f, list(best))[0]), best
 
 
-def _max_toral_span_generic(g: LieAlgebra, tm: TwoMap, torals):
-    """Memoized search for k > 1, where canonical rows need not be toral."""
-    f, n = g.field, g.dim
-    seen = set()
-    best = ((), ())
-
-    def visit(rows, gens, cands):
-        nonlocal best
-        key = tuple(rows)
-        if key in seen:
-            return
-        seen.add(key)
-        if len(rows) > len(best[0]):
-            best = (tuple(rows), tuple(gens))
-        for v in cands:
-            if reduce_vector(f, rows, v) == 0:
-                continue
-            new_rows, _ = rref_rows(f, rows + [v])
-            new_cands = [w for w in cands if g.bracket(v, w) == 0]
-            visit(new_rows, gens + [v], new_cands)
-
-    visit([], [], list(torals))
-    return best
-
-
 def maximal_torus(g: LieAlgebra, tm: TwoMap, mode: str = "exhaustive") -> Torus:
     """A maximal torus: true maximum in exhaustive mode, greedy otherwise.
 
@@ -332,10 +302,7 @@ def maximal_torus(g: LieAlgebra, tm: TwoMap, mode: str = "exhaustive") -> Torus:
         torals = toral_elements(g, tm)
         if not torals:
             return Torus(Subspace.zero(f, n), ())
-        if f.k == 1:
-            rows, gens = _max_toral_span_gf2(g, torals)
-        else:
-            rows, gens = _max_toral_span_generic(g, tm, torals)
+        rows, gens = _max_toral_span(g, torals)
         return Torus(Subspace(f, n, rows), tuple(gens))
     if mode != "greedy":
         raise ValueError(f"unknown search mode {mode!r}")

@@ -181,6 +181,25 @@ def test_digit_strings_past_the_int_conversion_limit_are_refused(text, code):
     assert err.value.code == code
 
 
+@pytest.mark.parametrize("text", [
+    "lie2algebra 1\ndim ²\n",  # str.isdigit accepts the superscript two
+    "lie2algebra 1\ndim 02\nfield_degree 1\ntwomap 0 0,0\ntwomap 1 0,0\n",
+    "lie2algebra 1\ndim 2\nfield_degree +1\ntwomap 0 0,0\ntwomap 1 0,0\n",
+    GOOD_HEADER + "bracket +0 0_1 1,0\ntwomap 0 0,0\ntwomap 1 0,0\n",
+    GOOD_HEADER + "bracket 00 1 1,0\ntwomap 0 0,0\ntwomap 1 0,0\n",
+    GOOD_HEADER + "bracket -0 1 1,0\ntwomap 0 0,0\ntwomap 1 0,0\n",
+    GOOD_HEADER + "twomap ٠ 0,0\ntwomap 1 0,0\n",  # Arabic-Indic zero
+    GOOD_HEADER + "twomap 0_0 0,0\ntwomap 1 0,0\n",
+    GOOD_HEADER + "twomap 0 0,0\ntwomap １ 0,0\n",  # fullwidth one
+], ids=["superscript-dim", "zero-led-dim", "signed-degree", "signed-bracket", "zero-led-bracket",
+        "negative-zero-bracket", "arabic-indic-twomap", "underscored-twomap", "fullwidth-twomap"])
+def test_counts_and_indices_are_plain_ascii_decimals(text):
+    # one spelling per number, so a file that loads saves back to the same bytes
+    with pytest.raises(FileFormatError) as err:
+        loads(text)
+    assert err.value.code == "Malformed"
+
+
 def test_missing_header():
     with pytest.raises(FileFormatError) as err:
         loads("dim 2\nfield_degree 1\n")

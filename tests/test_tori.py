@@ -27,12 +27,11 @@ from lie2.fixtures import (
     vacuity_family,
     witt,
 )
-from lie2.linalg import Subspace, coeffs, unit, vector
+from lie2.linalg import Subspace, coeffs, reduce_vector, rref_rows, unit, vector
 from lie2.restricted import TwoMap, extend_scalars, square
 from lie2.tori import (
     Torus,
-    _max_toral_span_generic,
-    _max_toral_span_gf2,
+    _max_toral_span,
     is_torus,
     maximal_torus,
     toral_basis,
@@ -122,16 +121,55 @@ def test_toral_elements_incremental_matches_direct():
     assert checked == 46
 
 
-@pytest.mark.parametrize("name", sorted(n for n in CORPUS if not n.startswith("u2")))
-def test_bitset_search_matches_generic_search(name):
-    # u2 is left out: the memoized generic search takes about 30 s on its 608 torals
+def _generic_max_toral_span(g, torals):
+    """Reference search: every GF(2^k)-span of commuting torals, memoized by its rows."""
+    f = g.field
+    seen = set()
+    best = ((), ())
+
+    def visit(rows, gens, cands):
+        nonlocal best
+        key = tuple(rows)
+        if key in seen:
+            return
+        seen.add(key)
+        if len(rows) > len(best[0]):
+            best = (tuple(rows), tuple(gens))
+        for v in cands:
+            if reduce_vector(f, rows, v) == 0:
+                continue
+            new_rows, _ = rref_rows(f, rows + [v])
+            new_cands = [w for w in cands if g.bracket(v, w) == 0]
+            visit(new_rows, gens + [v], new_cands)
+
+    visit([], [], list(torals))
+    return best
+
+
+# (algebra, k) cases on which the reference search takes at most about 1 s.
+# u2 is left out: the reference takes about 30 s on its 608 torals over GF(2).
+# Over GF(8) it takes about 45 s on f6 and gltor, and over GF(4) 9 s on sl(3)
+# and 124 s on gl(3).
+_SMALL = ["gl2", "rank2sq", "sl2", "torus1", "torus2", "torus3", "torus4", "witt1", "witt2"]
+SEARCH_CASES = [(name, 1) for name in sorted(n for n in CORPUS if not n.startswith("u2"))] + [
+    (name, 2) for name in sorted(_SMALL + ["f6", "gltor"])] + [(name, 3) for name in _SMALL]
+
+
+@pytest.mark.parametrize(
+    "name,k", SEARCH_CASES, ids=[n if k == 1 else f"{n}-gf{2 ** k}" for n, k in SEARCH_CASES]
+)
+def test_bitset_search_matches_generic_search(name, k):
     g, tm = CORPUS[name]()
+    if k > 1:
+        g, tm = extend_scalars(g, tm, k)
+    f = g.field
     torals = toral_elements(g, tm)
-    rows, gens = _max_toral_span_gf2(g, torals)
-    generic_rows, _ = _max_toral_span_generic(g, tm, torals)
-    assert len(rows) == len(generic_rows)
-    assert Subspace.from_vectors(F2, g.dim, gens) == Subspace(F2, g.dim, rows)
-    assert is_torus(g, tm, Subspace(F2, g.dim, rows))
+    rows, gens = _max_toral_span(g, torals)
+    generic_rows, _ = _generic_max_toral_span(g, torals)
+    assert len(rows) == len(gens) == len(generic_rows)
+    assert Subspace.from_vectors(f, g.dim, gens) == Subspace(f, g.dim, rows)
+    assert all(square(g, tm, t) == t for t in gens)
+    assert is_torus(g, tm, Subspace(f, g.dim, rows))
 
 
 # -- torus recognition -----------------------------------------------------------
@@ -166,6 +204,29 @@ def test_toral_basis_examples():
     g6, tm6 = f6()
     t = g6.subspace([unit(F2, i) for i in range(3)])
     assert sorted(toral_basis(g6, tm6, t)) == [unit(F2, i) for i in range(3)]
+
+
+@pytest.mark.parametrize("build", [f6, gltor, lambda: gl(2)], ids=["f6", "gltor", "gl2"])
+@pytest.mark.parametrize("k", [2, 3])
+def test_toral_basis_over_extension_fields(build, k):
+    g, tm = extend_scalars(*build(), k)
+    u = maximal_torus(g, tm).subspace
+    tb = toral_basis(g, tm, u)
+    assert len(tb) == u.dim
+    assert all(square(g, tm, t) == t for t in tb)
+    assert Subspace.from_vectors(g.field, g.dim, tb) == u
+
+
+def test_twisted_torus_gets_a_toral_basis_over_gf8_only():
+    # GF(2) is refused in test_twisted_square_map_is_torus_without_toral_basis
+    g, tm = twisted_torus()
+    g4, tm4 = extend_scalars(g, tm, 2)
+    with pytest.raises(FieldTooSmallError):
+        toral_basis(g4, tm4, g4.full_space())
+    g8, tm8 = extend_scalars(g, tm, 3)
+    tb = toral_basis(g8, tm8, g8.full_space())
+    assert len(tb) == 2 and all(square(g8, tm8, t) == t for t in tb)
+    assert Subspace.from_vectors(g8.field, 2, tb) == g8.full_space()
 
 
 def test_toral_basis_requires_torus():
@@ -249,6 +310,12 @@ def test_rank_monotone_on_nested_fixtures():
     r3 = toral_rank(*gl(3), mode="exhaustive").rank
     assert r2 <= r3
     assert (r2, r3) == (2, 3)
+
+
+def test_rank_over_gf4_known_answers():
+    # gl(3) keeps its diagonal torus; sl(3) has rank 2 over every field
+    assert toral_rank(*extend_scalars(*gl(3), 2)).rank == 3
+    assert toral_rank(*extend_scalars(*sl(3), 2)).rank == 2
 
 
 def test_rank_is_field_relative():
