@@ -218,11 +218,17 @@ def _max_toral_span(g: LieAlgebra, torals):
     dimension of the torus it spans.  A state is extended only by torals
     with a strictly larger pivot that commute with every generator, so the
     generators stay independent and only the best span needs reducing.
-    Since the pivots are distinct, the number of distinct candidate pivots
-    above the current one bounds all further growth; that prune collapses
-    the search as soon as one maximum-dimension span is found.  Candidate
-    sets are bitsets over toral indices, visited in ascending index order.
-    Returns (rows, generators).
+    Every nonzero vector of the span that further generators add is a
+    candidate, and a span has a basis with distinct pivots in any order of
+    the raw bits, so in every bit order the candidates' distinct pivots
+    bound all further growth.  The prune takes the smaller count of two
+    orders: the pivot order, whose count hangs on how the basis is
+    numbered, and one that takes first the bit set in the most torals,
+    then the bit set in the most of the rest, and so on, whose count does
+    not.  Neither cuts a subtree holding a longer span than the best so
+    far, so the result is the first maximum span in ascending index order.
+    Candidate sets are bitsets over toral indices, visited in ascending
+    index order.  Returns (rows, generators).
     """
     f, k = g.field, g.field.k
     bits = k * g.dim
@@ -262,6 +268,19 @@ def _max_toral_span(g: LieAlgebra, torals):
             s = adj[i] = everyone & ~nonzero
         return s
 
+    # classes[c]: the torals whose first set bit in the second bit order is
+    # its c-th bit, the bit set in the most torals not in an earlier class
+    classes = []
+    left = everyone
+    while left:
+        q = max(range(bits), key=lambda q: (has[q] & left).bit_count())
+        classes.append(has[q] & left)
+        left &= ~has[q]
+
+    def spread(s):
+        """Distinct pivots of the torals in s, in the second bit order."""
+        return sum(1 for c in classes if s & c)
+
     best: tuple = ()
 
     def visit(gens, cand):
@@ -271,10 +290,12 @@ def _max_toral_span(g: LieAlgebra, torals):
         if not cand:
             return
         pivset = [q for q in range(bits) if cand & pivots[q]]
-        if len(gens) + len(pivset) <= len(best):
+        if len(gens) + min(len(pivset), spread(cand)) <= len(best):
             return
-        # growth bound of each child: its own row plus the pivots above it
-        bound = {q: len(gens) + len(pivset) - i for i, q in enumerate(pivset)}
+        # growth bound of each child: the span it starts lies in the
+        # candidates with pivot at least its own
+        bound = {q: len(gens) + min(len(pivset) - i, spread(cand & (pivots[q] | above[q])))
+                 for i, q in enumerate(pivset)}
         rest = cand
         while rest:
             low = rest & -rest

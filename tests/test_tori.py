@@ -6,6 +6,8 @@ algebra whose squaring map is invertible but fixes nothing over GF(2), so
 its toral rank grows from 0 to 2 when the scalars reach GF(8).
 """
 
+import random
+
 import pytest
 
 from lie2.algebra import LieAlgebra, abelian, center
@@ -170,6 +172,42 @@ def test_bitset_search_matches_generic_search(name, k):
     assert Subspace.from_vectors(f, g.dim, gens) == Subspace(f, g.dim, rows)
     assert all(square(g, tm, t) == t for t in gens)
     assert is_torus(g, tm, Subspace(f, g.dim, rows))
+
+
+def _first_longest_chain(g, torals):
+    """Unpruned reference: the first longest chain of pairwise-commuting torals
+    with increasing pivots, each step taking candidates in ascending index order."""
+    piv = [t & -t for t in torals]
+    commute = [[g.bracket(s, t) == 0 for t in torals] for s in torals]
+    best = ()
+
+    def visit(chain, last):
+        nonlocal best
+        if len(chain) > len(best):
+            best = tuple(torals[i] for i in chain)
+        for j in range(len(torals)):
+            if piv[j] > last and all(commute[i][j] for i in chain):
+                visit(chain + [j], piv[j])
+
+    visit([], 0)
+    return best
+
+
+PRUNE_CASES = [("f6", 1), ("f6", 2), ("gltor", 2), ("rank2sq", 2), ("gl2", 2), ("witt2", 2)]
+
+
+@pytest.mark.parametrize("name,k", PRUNE_CASES, ids=[f"{n}-gf{2 ** k}" for n, k in PRUNE_CASES])
+@pytest.mark.parametrize("relabel", range(3))
+def test_pruned_search_returns_first_longest_chain(name, k, relabel):
+    # the growth bounds cut only subtrees that cannot beat the best span, so
+    # the generators are those of the unpruned search on every basis numbering
+    g, tm = CORPUS[name]()
+    perm = random.Random(f"{name}/{relabel}").sample(range(g.dim), g.dim)
+    g, tm = permute_basis(g, tm, perm)
+    if k > 1:
+        g, tm = extend_scalars(g, tm, k)
+    torals = toral_elements(g, tm)
+    assert _max_toral_span(g, torals)[1] == _first_longest_chain(g, torals)
 
 
 # -- torus recognition -----------------------------------------------------------
