@@ -31,6 +31,7 @@ the flags and ``--seed``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -352,7 +353,9 @@ def cmd_paper_suite(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The argument parser, built once per process."""
     ap = argparse.ArgumentParser(
         prog="lie2",
         description="exact workbench for restricted Lie algebras over GF(2^k)",

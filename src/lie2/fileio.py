@@ -128,7 +128,7 @@ def loads(text: str):
             if tag != FORMAT_NAME or len(parts) != 2:
                 raise FileFormatError(lineno, "MissingHeader",
                                       f"expected '{FORMAT_NAME} <version>' first")
-            if not parts[1].isdigit() or parts[1].lstrip("0") != str(FORMAT_VERSION):
+            if parts[1] != str(FORMAT_VERSION):
                 raise FileFormatError(lineno, "UnsupportedVersion",
                                       f"format version {parts[1]} not supported")
             header = FORMAT_VERSION

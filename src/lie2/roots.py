@@ -34,6 +34,7 @@ from .errors import (
     PreconditionError,
     SplitFailureError,
 )
+from .field import gf
 from .linalg import Subspace, combine, kernel_of_map, rref_rows, solve, unit, vget
 from .restricted import TwoMap, is_two_nilpotent, square
 from .tori import Torus
@@ -366,19 +367,4 @@ def canonical_toral_basis(d: RootDecomposition, cls: DeltaClass):
     """
     if cls.basis_change is None:
         raise PreconditionError("no basis change available for this class")
-    out = []
-    for row in cls.basis_change:
-        v = 0
-        for i in range(3):
-            if (row >> i) & 1:
-                v ^= d.torus.toral_basis[i]
-        out.append(v)
-    return out
-
-
-def relabelled_dims(d: RootDecomposition, mat) -> dict:
-    """Root-space dimensions keyed by the relabelled (canonical) root ints."""
-    out = {}
-    for lam, sp in d.roots.items():
-        out[apply_gl3(mat, lam.as_int())] = sp.dim
-    return out
+    return [combine(gf(1), d.torus.toral_basis, row) for row in cls.basis_change]

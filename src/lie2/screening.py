@@ -14,8 +14,12 @@ proper ideals.  The central facts, each realized as a checkable operation:
   nilpotent part once enough dimension inequalities hold
   (:func:`kernel_confinement`, :func:`self_bracket_bound`);
 * with all seven roots present and two root-space dimensions different,
-  one of eight explicit constructions yields a proper nonzero ideal
-  (:func:`construct_ideal_rank3`);
+  an explicit construction yields a proper nonzero ideal: the pure
+  :func:`dispatch` picks one of seven from the order pattern of the
+  dimensions through the stage table ``_STAGES``, and
+  :func:`construct_ideal_rank3` builds it (the eighth,
+  AlphaGammaGtBetaGamma, never fires first and is reached only through
+  :func:`named_construction`);
 * with fewer than seven roots, the torus projections of all self-brackets
   land in an explicit subspace of dimension at most two, so the Cartan
   subalgebra cannot be recovered from them and a proper ideal exists
@@ -37,6 +41,7 @@ counterexample are those of spinning every closure in full.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from .algebra import (
@@ -141,20 +146,13 @@ def _torus_projection(g, d, vectors):
     return Subspace.from_vectors(g.field, g.dim, rows)
 
 
-def _torus_slice(g, d, combos):
-    """Subspace of t spanned by given combinations of the canonical basis.
+def _torus_slice(g, basis, masks) -> Subspace:
+    """Subspace of t spanned by combinations of a toral basis (s1, s2, s3).
 
-    ``combos`` are 3-bit masks over a supplied toral basis (s1, s2, s3).
+    ``masks`` are 3-bit masks over the basis, bit j selecting s_(j+1).
     """
-    basis, masks = combos
-    rows = []
-    for mask in masks:
-        v = 0
-        for i in range(3):
-            if (mask >> i) & 1:
-                v ^= basis[i]
-        rows.append(v)
-    return Subspace.from_vectors(g.field, g.dim, rows)
+    f1 = gf(1)
+    return Subspace.from_vectors(g.field, g.dim, [combine(f1, basis, m) for m in masks])
 
 
 def _roots_by_canonical(d: RootDecomposition, mat):
@@ -163,13 +161,6 @@ def _roots_by_canonical(d: RootDecomposition, mat):
     for lam, sp in d.roots.items():
         out[apply_gl3(mat, lam.as_int())] = (lam, sp)
     return out
-
-
-def _everything_but_torus_slice(g, d, t_slice: Subspace) -> Subspace:
-    parts = list(t_slice.rows) + list(d.nil_part.rows)
-    for lam in d.root_list():
-        parts.extend(d.roots[lam].rows)
-    return Subspace.from_vectors(g.field, g.dim, parts)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +195,10 @@ def one_dim_rootspace_ideal(g: LieAlgebra, tm: TwoMap, d: RootDecomposition) -> 
         raise PreconditionError("construction requires a centerless algebra")
     if any(sp.dim != 1 for sp in d.roots.values()):
         raise PreconditionError("construction requires all root spaces one-dimensional")
-    sub = _everything_but_torus_slice(g, d, Subspace.zero(g.field, g.dim))
-    return _ideal_report(g, LEMMA_DIM1, sub)
+    vecs = list(d.nil_part.rows)
+    for sp in d.roots.values():
+        vecs.extend(sp.rows)
+    return _ideal_report(g, LEMMA_DIM1, Subspace.from_vectors(g.field, g.dim, vecs))
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +326,7 @@ def self_bracket_bound(g, tm, d, xi: RootFunctional) -> ConfinementReport:
         masks = [mu]  # s_rho + s_omega for mu = rho + omega
         if 7 in delta_set:
             masks.append(7 ^ mu)
-    slice_sub = _torus_slice(g, d, (s, masks))
+    slice_sub = _torus_slice(g, s, masks)
     bound = slice_sub.sum(d.nil_part)
     got = bracket_span(g, d.roots[xi], d.roots[xi])
     return ConfinementReport(bound.contains_space(got), slice_sub.dim, True, slice_sub)
@@ -379,15 +372,25 @@ def n_subspace(g, tm, d, sigma: RootFunctional, delta: RootFunctional) -> Subspa
 
 
 # ---------------------------------------------------------------------------
-# the eight rank-3 ideal constructions
+# the rank-3 ideal constructions and their dispatch
 # ---------------------------------------------------------------------------
 
-def _canonical_preimage(by_canon, mu) -> RootFunctional:
-    return by_canon[mu][0]
+_ALL_ROOTS = (1, 2, 3, 4, 5, 6, 7)
 
-
-def _slice_ideal(g, d, s, masks) -> Subspace:
-    return _everything_but_torus_slice(g, d, _torus_slice(g, d, (s, masks)))
+# Each construction, read in the canonical labelling (s1, s2, s3) of the
+# torus and of the roots: the torus slice it keeps (3-bit masks over the s_j),
+# the N(sigma, delta) blocks it takes, and the root spaces it takes whole.
+# Every construction also takes the 2-nilpotent part n of the Cartan subalgebra.
+_CONSTRUCTIONS = {
+    LEMMA_ALPHA_GT_BETA: ((0b010, 0b100), (), _ALL_ROOTS),      # s2, s3
+    LEMMA_BETA_GT_XI: ((0b100, 0b011), (), _ALL_ROOTS),         # s3, s1+s2
+    LEMMA_BG_GT_ABG: ((0b011, 0b101), (), _ALL_ROOTS),          # s1+s2, s1+s3
+    LEMMA_AG_GT_EQ: ((0b010, 0b100), (), _ALL_ROOTS),           # s2, s3
+    LEMMA_GAMMA_GT_XI: ((0b011, 0b101), (), _ALL_ROOTS),        # s1+s2, s1+s3
+    LEMMA_AG_GT_BG: ((0b001, 0b110), (), _ALL_ROOTS),           # s1, s2+s3
+    LEMMA_AB_GT_AG: ((), ((1, 2), (2, 1), (3, 1)), (4, 5, 6, 7)),
+    LEMMA_ABG_GT_AG: ((), ((3, 5), (5, 6), (6, 3)), (1, 2, 4, 7)),
+}
 
 
 def named_construction(g, tm, d: RootDecomposition, lemma: str, mat) -> IdealReport:
@@ -399,115 +402,111 @@ def named_construction(g, tm, d: RootDecomposition, lemma: str, mat) -> IdealRep
     recomputed from scratch either way, so a misapplied construction simply
     comes back with verified_ideal=False.
     """
-    slice_masks = {
-        LEMMA_ALPHA_GT_BETA: [0b010, 0b100],      # s2, s3
-        LEMMA_BETA_GT_XI: [0b100, 0b011],         # s3, s1+s2
-        LEMMA_BG_GT_ABG: [0b011, 0b101],          # s1+s2, s1+s3
-        LEMMA_AG_GT_EQ: [0b010, 0b100],           # s2, s3
-        LEMMA_GAMMA_GT_XI: [0b011, 0b101],        # s1+s2, s1+s3
-        LEMMA_AG_GT_BG: [0b001, 0b110],           # s1, s2+s3
-    }
-    if lemma not in slice_masks and lemma not in (LEMMA_AB_GT_AG, LEMMA_ABG_GT_AG):
+    if lemma not in _CONSTRUCTIONS:
         raise PreconditionError(f"unknown construction label {lemma!r}")
+    masks, blocks, whole = _CONSTRUCTIONS[lemma]
     by_canon = _roots_by_canonical(d, mat)
     s = canonical_toral_basis(d, DeltaClass("Delta0", 0, mat))
-    if lemma in (LEMMA_AB_GT_AG, LEMMA_ABG_GT_AG):
-        if lemma == LEMMA_AB_GT_AG:
-            triples = [(1, 2), (2, 1), (3, 1)]
-            full_parts = [4, 5, 6, 7]
-        else:
-            triples = [(3, 5), (5, 6), (6, 3)]
-            full_parts = [1, 2, 4, 7]
-        vecs = list(d.nil_part.rows)
-        for sig, del_ in triples:
-            ns = n_subspace(
-                g, tm, d, _canonical_preimage(by_canon, sig), _canonical_preimage(by_canon, del_)
-            )
-            vecs.extend(ns.rows)
-        for mu in full_parts:
-            vecs.extend(by_canon[mu][1].rows)
-        sub = Subspace.from_vectors(g.field, g.dim, vecs)
-    else:
-        sub = _slice_ideal(g, d, s, slice_masks[lemma])
-    return _ideal_report(g, lemma, sub, mat)
+    vecs = list(_torus_slice(g, s, masks).rows) + list(d.nil_part.rows)
+    for sig, del_ in blocks:
+        vecs.extend(n_subspace(g, tm, d, by_canon[sig][0], by_canon[del_][0]).rows)
+    for mu in whole:
+        vecs.extend(by_canon[mu][1].rows)
+    return _ideal_report(g, lemma, Subspace.from_vectors(g.field, g.dim, vecs), mat)
+
+
+def _dependent_triple(dd):
+    # the chain through alpha+beta; all seven equal satisfies it and fires nothing
+    if dd[1] == dd[2] == dd[3] and dd[3] >= dd[4] >= dd[5] >= dd[6] >= dd[7]:
+        if dd[3] > dd[5]:
+            return LEMMA_AB_GT_AG
+        if dd[6] > dd[7]:
+            return LEMMA_BG_GT_ABG
+        if dd[5] > dd[6]:
+            return LEMMA_AG_GT_EQ
+    return None
+
+
+# The stage hypotheses in the paper's priority order.  Each reads the seven
+# dimensions relabelled by one GL(3, GF(2)) matrix, dd[mu] being the dimension
+# of the root the matrix sends to mu, and names the construction that fires.
+_STAGES = (
+    # 1: a unique maximal root space
+    lambda dd: LEMMA_ALPHA_GT_BETA if all(dd[1] > dd[m] for m in range(2, 8)) else None,
+    # 2: exactly two root spaces at the maximum
+    lambda dd: LEMMA_BETA_GT_XI
+    if dd[1] == dd[2] and all(dd[1] > dd[m] for m in range(3, 8)) else None,
+    # 3: a dependent triple at the maximum
+    _dependent_triple,
+    # 4: an independent triple at the maximum, sums strictly below
+    lambda dd: LEMMA_GAMMA_GT_XI
+    if dd[1] == dd[2] == dd[4] and all(dd[1] > dd[m] for m in (3, 5, 6, 7)) else None,
+    # 5: the three basis roots and the full sum at the maximum
+    lambda dd: LEMMA_ABG_GT_AG
+    if dd[1] == dd[2] == dd[4] == dd[7] and dd[7] >= dd[3] >= dd[5] >= dd[6] and dd[7] > dd[5]
+    else None,
+)
+
+
+@lru_cache(maxsize=1)
+def _relabellings():
+    """(matrix, preimages) per GL(3, GF(2)) matrix, in lexicographic order.
+
+    preimages[mu] is the root the matrix sends to mu, and preimages[0] = 0.
+    """
+    out = []
+    for mat in gl3_matrices():
+        pre = [0] * 8
+        for lam in _ALL_ROOTS:
+            pre[apply_gl3(mat, lam)] = lam
+        out.append((mat, pre))
+    return tuple(out)
+
+
+def dispatch(dims):
+    """The construction that the dimension pattern fires, and its relabelling.
+
+    ``dims`` maps each of the seven root ints to its root-space dimension.
+    Walks the stages in priority order and, within a stage, the 168
+    dual-basis changes in lexicographic order; returns ``(lemma, matrix)``
+    for the first hypothesis that holds, or None when all seven dimensions
+    are equal (the tests check by enumeration that nothing else gives None).
+    AlphaGammaGtBetaGamma never fires: whenever its hypothesis holds, an
+    earlier stage does.
+    """
+    if sorted(dims) != list(_ALL_ROOTS):
+        raise PreconditionError("the dispatch needs the dimensions of all seven roots")
+    row = [0] + [dims[lam] for lam in _ALL_ROOTS]
+    relabelled = [(mat, [row[lam] for lam in pre]) for mat, pre in _relabellings()]
+    for stage in _STAGES:
+        for mat, dd in relabelled:
+            lemma = stage(dd)
+            if lemma is not None:
+                return lemma, mat
+    return None
 
 
 def construct_ideal_rank3(g, tm, d: RootDecomposition) -> IdealReport:
-    """Dispatch the dimension-inequality constructions for seven roots.
+    """The rank-3 construction that the root-space dimensions fire.
 
-    Searches the 168 dual-basis changes in lexicographic order, stage by
-    stage in the priority order of the underlying constructions, and fires
-    the first match; equal dimensions everywhere yield lemma None.  The
-    returned subspace is re-verified from scratch.  The eighth construction,
-    AlphaGammaGtBetaGamma, is reachable through :func:`named_construction`
-    only: whenever its hypothesis holds, an earlier stage fires (every one
-    of the 47,292 non-constant weak orderings of the seven dimensions fires
-    one of the seven stage constructions).
+    Requires a centerless algebra with a rank-3 triangulable torus and all
+    seven roots.  :func:`dispatch` picks the construction and relabelling
+    from the dimensions alone, and :func:`named_construction` builds it; the
+    returned subspace is re-verified from scratch.  Equal dimensions
+    everywhere yield lemma None and the zero subspace.
     """
     if center(g).dim != 0:
         raise PreconditionError("rank-3 constructions require a centerless algebra")
     if d.rank != 3:
         raise PreconditionError("rank-3 constructions require a rank-3 torus")
-    cls = classify_delta(d)
-    if cls.index != 0:
+    if classify_delta(d).index != 0:
         raise PreconditionError("all seven roots must be present")
     if not is_triangulable(g, d):
         raise PreconditionError("Cartan subalgebra must be triangulable")
-
-    dims_now = {lam.as_int(): sp.dim for lam, sp in d.roots.items()}
-    if len(set(dims_now.values())) == 1:
+    hit = dispatch({lam.as_int(): sp.dim for lam, sp in d.roots.items()})
+    if hit is None:
         return IdealReport(None, Subspace.zero(g.field, g.dim), False, True, False, None)
-
-    def fire(lemma, mat):
-        return named_construction(g, tm, d, lemma, mat)
-
-    matrices = gl3_matrices()
-
-    def dims_for(mat):
-        return {apply_gl3(mat, lam): dim for lam, dim in dims_now.items()}
-
-    # stage 1: a unique maximal root space
-    for mat in matrices:
-        dd = dims_for(mat)
-        if all(dd[1] > dd[m] for m in range(2, 8)):
-            return fire(LEMMA_ALPHA_GT_BETA, mat)
-    # stage 2: exactly two root spaces at the maximum
-    for mat in matrices:
-        dd = dims_for(mat)
-        if dd[1] == dd[2] and all(dd[1] > dd[m] for m in range(3, 8)):
-            return fire(LEMMA_BETA_GT_XI, mat)
-    # stage 3: a dependent triple at the maximum (chain through alpha+beta)
-    for mat in matrices:
-        dd = dims_for(mat)
-        if (
-            dd[1] == dd[2] == dd[3]
-            and dd[3] >= dd[4] >= dd[5] >= dd[6] >= dd[7]
-        ):
-            if dd[3] > dd[5]:
-                return fire(LEMMA_AB_GT_AG, mat)
-            if dd[6] > dd[7]:
-                return fire(LEMMA_BG_GT_ABG, mat)
-            if dd[5] > dd[6]:
-                return fire(LEMMA_AG_GT_EQ, mat)
-            # chain satisfied with everything equal: handled above
-    # stage 4: an independent triple at the maximum, sums strictly below
-    for mat in matrices:
-        dd = dims_for(mat)
-        if dd[1] == dd[2] == dd[4] and all(dd[1] > dd[m] for m in (3, 5, 6, 7)):
-            return fire(LEMMA_GAMMA_GT_XI, mat)
-    # stage 5: the three basis roots and the full sum at the maximum
-    for mat in matrices:
-        dd = dims_for(mat)
-        if (
-            dd[1] == dd[2] == dd[4] == dd[7]
-            and dd[7] >= dd[3] >= dd[5] >= dd[6]
-            and dd[7] > dd[5]
-        ):
-            return fire(LEMMA_ABG_GT_AG, mat)
-    raise ContradictionError(
-        f"unequal root dimensions {dims_now} matched no construction; "
-        "the stage dispatch should be exhaustive"
-    )
+    return named_construction(g, tm, d, *hit)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +553,7 @@ def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
     if not is_triangulable(g, d):
         raise PreconditionError("obstruction requires a triangulable Cartan subalgebra")
     s = canonical_toral_basis(d, cls)
-    slice_sub = _torus_slice(g, d, (s, list(_OBSTRUCTION_SLICES[cls.index])))
+    slice_sub = _torus_slice(g, s, _OBSTRUCTION_SLICES[cls.index])
     projections = []
     for lam, sp in d.roots.items():
         got = bracket_span(g, sp, sp)

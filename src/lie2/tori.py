@@ -105,8 +105,7 @@ def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS
     bits = f.k * n
     if bits > budget_bits:
         raise BudgetExceededError(
-            f"toral enumeration needs 2^{bits} candidates, budget is 2^{budget_bits}; "
-            "shrink the field or use the greedy search"
+            f"toral enumeration needs 2^{bits} candidates, budget is 2^{budget_bits}"
         )
     sq = [square(g, tm, 1 << a) for a in range(bits)]
     lin = [s ^ (1 << a) for a, s in enumerate(sq)]  # F(u_a)

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -231,16 +232,22 @@ def test_criterion_9_jcs_exhaustive():
              f"split matches envelope oracle on all 80 vectors of f6 and gl2, {elapsed:.2f}s (< 1s)")
 
 
+# the stdout of `lie2 --seed 7 paper-suite`, which a change may not alter
+GOLDEN_PAPER_SUITE = Path(__file__).parent / "data" / "paper_suite_seed7.txt"
+
+
 @pytest.mark.slow
 def test_criterion_10_paper_suite_determinism():
     cmd = [sys.executable, "-m", "lie2.cli", "--seed", "7", "paper-suite"]
     first = subprocess.run(cmd, capture_output=True)
     second = subprocess.run(cmd, capture_output=True)
+    golden = GOLDEN_PAPER_SUITE.read_bytes()
     ok = (
         first.returncode == 0
         and second.returncode == 0
-        and first.stdout == second.stdout
+        and first.stdout == second.stdout == golden
         and first.stderr == second.stderr
     )
     _verdict(10, ok,
-             f"paper-suite byte-identical across runs ({len(first.stdout)} bytes, exit 0)")
+             f"paper-suite byte-identical across runs and to {GOLDEN_PAPER_SUITE.name} "
+             f"({len(first.stdout)} bytes, exit 0)")

@@ -8,7 +8,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lie2 import screening
 from lie2.algebra import abelian
-from lie2.cli import main
+from lie2.cli import build_parser, main
 from lie2.errors import ContradictionError, FileFormatError
 from lie2.fileio import dumps, load, loads, save
 from lie2.fixtures import delta0, f6, f7, gl, torus, u2, witt
@@ -57,6 +57,14 @@ def test_unsupported_version():
         loads("lie2algebra 999\ndim 1\nfield_degree 1\ntwomap 0 0\n")
     assert err.value.code == "UnsupportedVersion"
     assert err.value.lineno == 1
+
+
+@pytest.mark.parametrize("version", ["001", "01", "+1", "\uff11"])
+def test_version_has_one_spelling(version):
+    # a header that loads is the header that save writes back
+    with pytest.raises(FileFormatError) as err:
+        loads(f"lie2algebra {version}\ndim 1\nfield_degree 1\ntwomap 0 0\n")
+    assert err.value.code == "UnsupportedVersion"
 
 
 def test_diagonal_entry_rejected():
@@ -240,6 +248,15 @@ def test_cli_verify_ok(files, capsys):
     assert main(["verify", files["f6"]]) == 0
     out = capsys.readouterr().out
     assert "lie axioms: ok" in out and "2-map axioms: ok" in out
+
+
+def test_cli_parser_is_built_once_and_reused(files, capsys):
+    assert build_parser() is build_parser()
+    # options given to one call do not leak into the next
+    assert main(["verify", files["f6"], "--report", "json"]) == 0
+    assert capsys.readouterr().out.startswith("{")
+    assert main(["verify", files["f6"]]) == 0
+    assert capsys.readouterr().out.startswith("algebra f6")
 
 
 def test_cli_verify_json(files, capsys):

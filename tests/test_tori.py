@@ -94,6 +94,15 @@ def test_toral_elements_budget():
         toral_elements(g, TwoMap([0] * 25))
 
 
+@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
+def test_both_search_modes_refuse_past_the_budget(mode):
+    # greedy's first step enumerates the whole algebra under the same budget
+    g, tm = torus(25)
+    with pytest.raises(BudgetExceededError) as err:
+        maximal_torus(g, tm, mode)
+    assert "use the greedy search" not in str(err.value)  # no advice that cannot help
+
+
 # The fixture corpus of the paper suite, the u2 relabellings of its vacuity
 # sweep, sl(2), and sl(3) relabelled so that its last two coordinates do not
 # commute.  Inputs over 12 bits walk the high block, and the relabellings
