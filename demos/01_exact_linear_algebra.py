@@ -5,7 +5,7 @@ and subspaces are kept in canonical reduced row-echelon form, so equality
 of subspaces is equality of tuples.
 """
 
-from lie2 import Matrix, Subspace, gf, nullspace, rref, subspace_intersect, subspace_sum, vector
+from lie2 import Matrix, Subspace, gf, nullspace, rref, vector
 
 f2 = gf(1)
 f8 = gf(3)
@@ -35,6 +35,6 @@ print("== the subspace lattice ========================================")
 u = Subspace.from_vectors(f2, 3, [vector(f2, (1, 1, 0)), vector(f2, (0, 1, 1))])
 v = Subspace.from_vectors(f2, 3, [vector(f2, (1, 0, 1))])
 print(f"dim u = {u.dim}, dim v = {v.dim}")
-print(f"dim (u+v) = {subspace_sum(u, v).dim}, dim (u^v) = {subspace_intersect(u, v).dim}")
+print(f"dim (u+v) = {(u + v).dim}, dim (u^v) = {u.intersect(v).dim}")
 print("dimension formula holds:",
-      u.dim + v.dim == subspace_sum(u, v).dim + subspace_intersect(u, v).dim)
+      u.dim + v.dim == (u + v).dim + u.intersect(v).dim)

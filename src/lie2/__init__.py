@@ -11,7 +11,6 @@ from .algebra import (
     LieAlgebra,
     abelian,
     acts_nilpotently,
-    bracket,
     bracket_span,
     center,
     centralizer,
@@ -38,11 +37,8 @@ from .fixtures import fixture, fixture_names, vacuity_family
 from .linalg import (
     Matrix,
     Subspace,
-    contains,
     nullspace,
     rref,
-    subspace_intersect,
-    subspace_sum,
     vector,
 )
 from .restricted import (

@@ -7,6 +7,11 @@ valid table has zero diagonal and is symmetric; :func:`verify_lie` reports
 every violation of that shape and of the Jacobi identity instead of
 assuming it, which lets deliberately corrupted tensors be inspected.
 
+A vector over GF(2^k) is an int of k*n raw bits, and the bracket is
+GF(2)-bilinear in them: for every k it sums entries of :attr:`LieAlgebra.raw`,
+the brackets of raw bits, which squaring and :mod:`lie2.tori` read too.
+Over a proper extension it is built the first time it is read.
+
 All operations are pure; a LieAlgebra is immutable after construction.
 """
 
@@ -20,7 +25,6 @@ from .linalg import (
     _reduce,
     kernel_of_map,
     rref_rows,
-    support,
     unit,
     vget,
     vscale,
@@ -53,7 +57,7 @@ class LieReport:
 class LieAlgebra:
     """An algebra with a bilinear bracket, fixed by its structure table."""
 
-    __slots__ = ("field", "dim", "name", "table", "_cols")
+    __slots__ = ("field", "dim", "name", "table", "_raw")
 
     def __init__(self, field: GF2k, dim: int, table, name: str | None = None):
         self.field = field
@@ -62,10 +66,7 @@ class LieAlgebra:
         self.table = tuple(tuple(row) for row in table)
         if len(self.table) != dim or any(len(r) != dim for r in self.table):
             raise ValueError("structure table must be dim x dim")
-        # column view: _cols[j][i] = [b_i, b_j], used for fast ad actions
-        self._cols = tuple(
-            tuple(self.table[i][j] for i in range(dim)) for j in range(dim)
-        )
+        self._raw = self.table if field.k == 1 else None
 
     # -- constructors -------------------------------------------------------
 
@@ -89,36 +90,35 @@ class LieAlgebra:
 
     # -- bracket ------------------------------------------------------------
 
-    def _check_len(self, x: int):
-        if x >> (self.dim * self.field.k):
-            raise AmbientMismatchError("vector has coordinates beyond the algebra dimension")
+    @property
+    def raw(self):
+        """``raw[a][b] = [u_a, u_b] = w^(s+t) [e_i, e_j]`` for the raw bits
+        u_a = 1 << a = w^s e_i, a = i*k + s, w = x; ``table`` itself at k = 1."""
+        if self._raw is None:
+            f, k = self.field, self.field.k
+            w = [f.pow(2, p) for p in range(2 * k - 1)]
+            raw = []
+            for row in self.table:  # row i; scaled[j][p] = w^p [e_i, e_j]
+                scaled = [[vscale(f, v, c) for c in w] for v in row]
+                raw.extend(tuple(sj[s + t] for sj in scaled for t in range(k)) for s in range(k))
+            self._raw = tuple(raw)
+        return self._raw
 
     def bracket(self, x: int, y: int) -> int:
-        """[x, y], bilinear extension of the table."""
-        self._check_len(x)
-        self._check_len(y)
-        f, table = self.field, self.table
+        """[x, y], the sum of ``raw[a][b]`` over the raw bits a of x and b of y."""
+        if (x | y) >> (self.dim * self.field.k):
+            raise AmbientMismatchError("vector has coordinates beyond the algebra dimension")
+        raw = self._raw or self.raw  # the slot skips the property once built
         acc = 0
-        if f.k == 1:
-            xs = x
-            while xs:
-                low = xs & -xs
-                i = low.bit_length() - 1
-                xs ^= low
-                row = table[i]
-                ys = y
-                while ys:
-                    lo2 = ys & -ys
-                    acc ^= row[lo2.bit_length() - 1]
-                    ys ^= lo2
-            return acc
-        for i in support(f, x):
-            ci = vget(f, x, i)
-            row = table[i]
-            for j in support(f, y):
-                c = f.mul(ci, vget(f, y, j))
-                if c:
-                    acc ^= vscale(f, row[j], c)
+        while x:
+            low = x & -x
+            x ^= low
+            row = raw[low.bit_length() - 1]
+            ys = y
+            while ys:
+                lo2 = ys & -ys
+                acc ^= row[lo2.bit_length() - 1]
+                ys ^= lo2
         return acc
 
     def ad_matrix(self, x: int) -> Matrix:
@@ -172,10 +172,6 @@ class LieAlgebra:
 
 def verify_lie(g: LieAlgebra) -> LieReport:
     return g.verify()
-
-
-def bracket(g: LieAlgebra, x: int, y: int) -> int:
-    return g.bracket(x, y)
 
 
 # ---------------------------------------------------------------------------

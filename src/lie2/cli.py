@@ -24,6 +24,10 @@ Exit codes, for every subcommand:
     20    ``screen``: OutOfScope
     ====  ==============================================================
 
+``decompose --field-degree`` accepts 0 (keep the file's field) or 1..16,
+``rank --max-field-degree`` 1..16 and ``simple --budget`` any N >= 1; a
+number outside its range is a usage error, exit 2, as argparse reports it.
+
 Errors go to stderr as ``error: ...``.  All output is deterministic given
 the flags and ``--seed``.
 """
@@ -40,6 +44,7 @@ from pathlib import Path
 from . import fileio, fixtures
 from .algebra import center, verify_lie
 from .errors import BudgetExceededError, ContradictionError, Lie2Error
+from .field import IRREDUCIBLE_POLY
 from .linalg import coeffs
 from .restricted import extend_scalars, verify_two_map
 from .roots import classify_delta, grading_check, is_standard, is_triangulable, root_decomposition
@@ -353,6 +358,16 @@ def cmd_paper_suite(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+def _int_in(lo, hi=None):
+    """An argparse type: an integer in lo..hi, with no upper end when hi is None."""
+    def integer(text):
+        value = int(text)
+        if value < lo or hi is not None and value > hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{'' if hi is None else hi}")
+        return value
+    return integer
+
+
 @functools.lru_cache(maxsize=1)
 def build_parser():
     """The argument parser, built once per process."""
@@ -371,15 +386,17 @@ def build_parser():
 
     p = sub.add_parser("decompose", help="root space decomposition and configuration")
     p.add_argument("file")
-    p.add_argument("--field-degree", type=int, default=0,
-                   help="extend scalars to GF(2^K) before decomposing")
+    p.add_argument("--field-degree", type=_int_in(0, max(IRREDUCIBLE_POLY)), default=0,
+                   help="extend scalars to GF(2^K), 1..16, before decomposing; 0 keeps "
+                        "the file's field")
     p.add_argument("--torus", choices=["greedy", "exhaustive"], default="exhaustive")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("rank", help="relative toral rank per field degree")
     p.add_argument("file")
     p.add_argument("--mode", choices=["greedy", "exhaustive"], default="exhaustive")
-    p.add_argument("--max-field-degree", type=int, default=2)
+    p.add_argument("--max-field-degree", type=_int_in(1, max(IRREDUCIBLE_POLY)), default=2,
+                   help="try every degree 1..K, K in 1..16, for a GF(2) file")
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("screen", help="necessary-condition simplicity screen")
@@ -388,8 +405,8 @@ def build_parser():
 
     p = sub.add_parser("simple", help="brute-force simplicity oracle")
     p.add_argument("file")
-    p.add_argument("--budget", type=int, default=1 << 20,
-                   help="maximum number of generator closures")
+    p.add_argument("--budget", type=_int_in(1), default=1 << 20,
+                   help="maximum number of generator closures, at least 1")
     p.set_defaults(func=cmd_simple)
 
     p = sub.add_parser("paper-suite", help="run the built-in check suite over the corpus")

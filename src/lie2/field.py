@@ -54,8 +54,6 @@ class GF2k:
         self.order = 1 << k
         self.mask = self.order - 1
         self.modulus = IRREDUCIBLE_POLY[k]
-        self.one = 1
-        self.zero = 0
 
     def __repr__(self):
         return "GF(2)" if self.k == 1 else f"GF(2^{self.k})"

@@ -36,34 +36,27 @@ FORMAT_NAME = "lie2algebra"
 FORMAT_VERSION = 1
 
 
-def _element_to_bits(field, value: int) -> str:
-    return "".join(str((value >> i) & 1) for i in range(field.k))
-
-
-def _bits_to_element(field, text: str, lineno: int) -> int:
-    if len(text) != field.k or any(c not in "01" for c in text):
-        raise FileFormatError(
-            lineno, "MalformedField",
-            f"field element {text!r} must be {field.k} bits of 0/1"
-        )
-    return sum((1 << i) for i, c in enumerate(text) if c == "1")
-
-
 def _vector_to_text(field, n: int, v: int) -> str:
-    return ",".join(_element_to_bits(field, (v >> (i * field.k)) & field.mask) for i in range(n))
+    k = field.k
+    bits = format(v, f"0{n * k}b")[::-1]  # bit a of v at position a
+    return ",".join(bits[i:i + k] for i in range(0, n * k, k))
 
 
 def _text_to_vector(field, n: int, text: str, lineno: int) -> int:
+    """Coordinate i is part i, a little-endian bit string at bits [ik, (i+1)k)."""
     parts = text.split(",")
     if len(parts) != n:
         raise FileFormatError(
             lineno, "DimensionMismatch",
             f"coefficient vector has {len(parts)} entries, expected {n}"
         )
-    v = 0
-    for i, part in enumerate(parts):
-        v |= _bits_to_element(field, part, lineno) << (i * field.k)
-    return v
+    for part in parts:
+        if len(part) != field.k or part.strip("01"):
+            raise FileFormatError(
+                lineno, "MalformedField",
+                f"field element {part!r} must be {field.k} bits of 0/1"
+            )
+    return int("".join(parts)[::-1], 2)
 
 
 def _decimal(text: str, lineno: int, what: str) -> int:

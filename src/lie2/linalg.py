@@ -442,18 +442,3 @@ class Subspace:
                 for c, r in zip(cs, self.rows):
                     v ^= vscale(f, r, c)
                 yield v
-
-    def basis_matrix(self) -> Matrix:
-        return Matrix(self.field, self.dim, self.ambient, self.rows)
-
-
-def subspace_sum(u: Subspace, v: Subspace) -> Subspace:
-    return u.sum(v)
-
-
-def subspace_intersect(u: Subspace, v: Subspace) -> Subspace:
-    return u.intersect(v)
-
-
-def contains(u: Subspace, x: int) -> bool:
-    return u.contains(x)

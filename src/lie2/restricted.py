@@ -5,7 +5,8 @@ A 2-map is determined by the images of the basis vectors: for
 
     x^[2] = sum c_i^2 b_i^[2]  +  sum_{i<j} c_i c_j [b_i, b_j],
 
-so :func:`square` evaluates that extension rule.  The scalar axiom
+so :func:`square` evaluates that extension rule, on the raw bits of x for
+every k (:attr:`lie2.algebra.LieAlgebra.raw`).  The scalar axiom
 ``(c x)^[2] = c^2 x^[2]`` holds by construction, and so does the sum axiom
 ``(x+y)^[2] = x^[2] + y^[2] + [x, y]`` on every table that is alternating
 and symmetric, which :func:`lie2.algebra.verify_lie` checks and the file
@@ -28,16 +29,17 @@ from __future__ import annotations
 
 from .algebra import LieAlgebra
 from .errors import PreconditionError
-from .linalg import Subspace, _reduce, rref_rows, support, unit, vget, vscale
+from .linalg import Subspace, _reduce, rref_rows, unit, vscale
 
 
 class TwoMap:
     """A candidate 2-map, given by the images of the basis vectors."""
 
-    __slots__ = ("images",)
+    __slots__ = ("images", "_raw")
 
     def __init__(self, images):
         self.images = tuple(images)
+        self._raw = {}  # field degree -> images of the raw bits, see _raw_images
 
     def __repr__(self):
         return f"TwoMap({len(self.images)} basis images)"
@@ -66,29 +68,37 @@ class TwoMapReport:
         return f"TwoMapReport(adjoint={self.adjoint_violations[:4]})"
 
 
+def _raw_images(g: LieAlgebra, tm: TwoMap):
+    """(u_a)^[2] = w^(2s) e_i^[2] for every raw bit u_a = w^s e_i, once per 2-map and k."""
+    f, k = g.field, g.field.k
+    raw = tm._raw.get(k)
+    if raw is None:
+        w2 = [f.pow(2, 2 * s) for s in range(k)]
+        raw = tm._raw[k] = tuple(vscale(f, v, c) for v in tm.images for c in w2)
+    return raw
+
+
 def square(g: LieAlgebra, tm: TwoMap, x: int) -> int:
-    """x^[2] by the extension rule."""
-    f, table, images = g.field, g.table, tm.images
+    """x^[2] by the extension rule, over the raw bits of x.
+
+    Frobenius is additive, so c_i^2 e_i^[2] sums raw images, and c_i c_j [e_i, e_j]
+    sums ``g.raw[a][b]`` over the set bits a < b of x in coordinates i < j.
+    """
+    k = g.field.k
+    table, images = g.raw, tm._raw.get(k) or _raw_images(g, tm)
     acc = 0
-    if f.k == 1:
-        idx = []
-        xs = x
-        while xs:
-            low = xs & -xs
-            idx.append(low.bit_length() - 1)
-            xs ^= low
-        for t, i in enumerate(idx):
-            acc ^= images[i]
-            row = table[i]
-            for j in idx[t + 1:]:
-                acc ^= row[j]
-        return acc
-    idx = [(i, vget(f, x, i)) for i in support(f, x)]
-    for t, (i, ci) in enumerate(idx):
-        acc ^= vscale(f, images[i], f.square(ci))
-        row = table[i]
-        for (j, cj) in idx[t + 1:]:
-            acc ^= vscale(f, row[j], f.mul(ci, cj))
+    later, same, coord = [], [], -1  # set bits of x in coordinates above a's, in a's
+    while x:  # from the top bit down
+        a = x.bit_length() - 1
+        x ^= 1 << a
+        if a // k != coord:
+            later += same
+            same, coord = [], a // k
+        same.append(a)
+        acc ^= images[a]
+        row = table[a]
+        for b in later:
+            acc ^= row[b]
     return acc
 
 

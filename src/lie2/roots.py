@@ -94,9 +94,6 @@ class RootDecomposition:
         """Roots in ascending bit order; the iteration order everywhere."""
         return sorted(self.roots, key=RootFunctional.as_int)
 
-    def dims(self):
-        return {lam: sp.dim for lam, sp in self.roots.items()}
-
     def space(self, lam: RootFunctional) -> Subspace:
         """g_lambda, with the zero functional mapped to the Cartan subalgebra."""
         if lam.is_zero():

@@ -28,8 +28,8 @@ x -> x^[2] + x is a quadratic map of the k*n raw bits of x, so it is
 evaluated on all 2^12 assignments of a low block of bits at once, one
 truth-table int per output coordinate, while a Gray-code walk over the
 remaining high bits updates each table by xor on every flip (see
-:func:`toral_elements`).  The torus search keeps its candidate sets as
-bitsets over toral indices.
+:func:`toral_elements`).  It and the torus search, whose candidate sets are
+bitsets over toral indices, read the algebra's raw-bit bracket table.
 
 Rank values are relative to the coefficient field: over a small field a
 2-map can be invertible on an abelian subalgebra that contains no toral
@@ -46,7 +46,7 @@ from .algebra import LieAlgebra, centralizer
 from .errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from .field import gf
 from .linalg import Subspace, _reduce, combine, kernel_of_map, rref_rows, vscale
-from .restricted import TwoMap, square
+from .restricted import TwoMap, _raw_images, square
 
 TORAL_ENUM_BITS = 24        # ceiling on k*n for exhaustive toral enumeration
 _LOW_BITS = 12              # low-block width of the bit-sliced toral enumeration
@@ -91,15 +91,16 @@ def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS
 
     Over the k*n raw bits x_a of a vector, F(x) = x^[2] + x is quadratic:
     F(x) = sum_a x_a F(u_a) + sum_{a<b} x_a x_b P(u_a, u_b), where u_a = 1 << a
-    and P is the polar form of squaring (the bracket, by the sum axiom; for
-    k > 1 too, since Frobenius is additive).  The bits split into a low block
-    of h = min(k*n, _LOW_BITS) bits and a high block.  F is evaluated on all
-    2^h low assignments at once, bit-sliced: coordinate q of F is one 2^h-bit
-    int whose bit i is that coordinate at low assignment i.  The high block is
-    walked in Gray-code order; flipping high bit u_b adds the constant
-    F(u_b) + P(hi, u_b) and the cross term P(lo, u_b), which is linear in the
-    low bits and comes from a per-flip table.  The torals under one high
-    assignment are the low assignments at which no coordinate is set.
+    and P is the polar form of squaring: ``g.raw[a][b]`` for a < b in different
+    coordinates, zero within one (see :func:`lie2.restricted.square`).  The
+    bits split into a low block of h = min(k*n, _LOW_BITS) bits and a high
+    block.  F is evaluated on all 2^h low assignments at once, bit-sliced:
+    coordinate q of F is one 2^h-bit int whose bit i is that coordinate at
+    low assignment i.  The high block is walked in Gray-code order; flipping
+    high bit u_b adds the constant F(u_b) + P(hi, u_b) and the cross term
+    P(lo, u_b), which is linear in the low bits and comes from a per-flip
+    table.  The torals under one high assignment are the low assignments at
+    which no coordinate is set.
     """
     f, n = g.field, g.dim
     bits = f.k * n
@@ -107,12 +108,12 @@ def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS
         raise BudgetExceededError(
             f"toral enumeration needs 2^{bits} candidates, budget is 2^{budget_bits}"
         )
-    sq = [square(g, tm, 1 << a) for a in range(bits)]
-    lin = [s ^ (1 << a) for a, s in enumerate(sq)]  # F(u_a)
-    polar = [[0] * bits for _ in range(bits)]  # P(u_a, u_b)
+    k, table = f.k, g.raw
+    lin = [s ^ (1 << a) for a, s in enumerate(_raw_images(g, tm))]  # F(u_a)
+    polar = [[0] * bits for _ in range(bits)]  # P(u_a, u_b), zero within a coordinate
     for a in range(bits):
-        for b in range(a + 1, bits):
-            polar[a][b] = polar[b][a] = square(g, tm, (1 << a) | (1 << b)) ^ sq[a] ^ sq[b]
+        for b in range((a // k + 1) * k, bits):
+            polar[a][b] = polar[b][a] = table[a][b]
 
     h = min(bits, _LOW_BITS)
     full = (1 << (1 << h)) - 1
@@ -227,7 +228,8 @@ def _max_toral_span(g: LieAlgebra, torals):
     not.  Neither cuts a subtree holding a longer span than the best so
     far, so the result is the first maximum span in ascending index order.
     Candidate sets are bitsets over toral indices, visited in ascending
-    index order.  Returns (rows, generators).
+    index order, and commuting sets come from ``g.raw``.  Returns (rows,
+    generators).
     """
     f, k = g.field, g.field.k
     bits = k * g.dim
@@ -241,11 +243,7 @@ def _max_toral_span(g: LieAlgebra, torals):
     above = [0] * bits    # above[p]: torals with pivot greater than p
     for p in range(bits - 2, -1, -1):
         above[p] = above[p + 1] | pivots[p + 1]
-    # table[a][b] = [u_a, u_b] for the raw bits u_a = 1 << a = w^s e_i, a = i*k + s,
-    # so [u_a, u_b] = w^(s+t) [e_i, e_j]; at k = 1 this is g.table
-    w = [f.pow(2, p) for p in range(2 * k - 1)]
-    table = [[vscale(f, g.table[a // k][b // k], w[a % k + b % k]) for b in range(bits)]
-             for a in range(bits)]
+    table = g.raw
     adj = {}
 
     def commuting(i):

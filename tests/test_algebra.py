@@ -4,6 +4,8 @@ The gl(2) expectations are cross-checked against an independent in-test
 oracle that multiplies 2x2 matrices over GF(2) directly.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -19,9 +21,11 @@ from lie2.algebra import (
     is_ideal,
     verify_lie,
 )
+from lie2.cli import _suite_corpus
 from lie2.errors import AmbientMismatchError
 from lie2.field import gf
-from lie2.fixtures import f6, gl
+from lie2.fixtures import f6, gl, u2
+from lie2.screening import simplicity_screen
 from lie2.linalg import Subspace, coeffs, unit, vector
 
 F2 = gf(1)
@@ -203,6 +207,22 @@ def test_is_ideal_iff_closure_fixed(gl2):
     for bits in range(1, 16):
         u = g.subspace([bits, unit(F2, 0)])
         assert is_ideal(g, u) == (ideal_closure(g, u) == u)
+    # every screen witness of the paper-suite corpus, then random subspaces of u2
+    witnesses = 0
+    for _name, build in _suite_corpus():
+        g, tm = build()
+        rep = simplicity_screen(g, tm).ideal
+        if rep is not None:
+            assert is_ideal(g, rep.subspace) == (ideal_closure(g, rep.subspace) == rep.subspace)
+            witnesses += 1
+    assert witnesses > 0
+    g, _ = u2()
+    rng = random.Random(8)
+    for _ in range(200):
+        u = g.subspace([rng.getrandbits(g.dim) for _ in range(rng.randint(1, g.dim))])
+        closure = ideal_closure(g, u)
+        assert is_ideal(g, u) == (closure == u)
+        assert is_ideal(g, closure) and ideal_closure(g, closure) == closure
 
 
 def test_bracket_span_symmetric(gl2):

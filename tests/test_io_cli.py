@@ -377,6 +377,29 @@ def test_cli_rank_exits_2_when_every_degree_is_refused(files, capsys):
     assert out.startswith("field degree 1: refused (") and "2^25" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--field-degree", "17"],
+    ["decompose", "--field-degree", "-1"],
+    ["rank", "--max-field-degree", "17"],
+    ["rank", "--max-field-degree", "0"],
+    ["simple", "--budget", "-8"],
+    ["simple", "--budget", "0"],
+])
+def test_cli_out_of_range_numbers_are_usage_errors(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], files["f6"], *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {argv[1]}: {argv[2]} is " in captured.err and not captured.out
+
+
+def test_cli_range_ends_are_accepted(files, capsys):
+    assert main(["decompose", files["f6"], "--field-degree", "0"]) == 0
+    assert main(["rank", files["u2"], "--max-field-degree", "16"]) == 0
+    out = capsys.readouterr().out
+    assert "field degree 16: refused (" in out
+
+
 def test_cli_rank_greedy_flag(files, capsys):
     assert main(["rank", files["f6"], "--mode", "greedy", "--max-field-degree", "1"]) == 0
     assert "(lower bound)" in capsys.readouterr().out
