@@ -14,7 +14,6 @@ from lie2 import (
     gf,
     maximal_torus,
     toral_elements,
-    toral_rank,
 )
 from lie2.linalg import coeffs, unit
 
@@ -24,16 +23,16 @@ torals = toral_elements(g, tm)
 print(f"{len(torals)} nonzero idempotents, e.g.:")
 for v in torals[:4]:
     print("  ", coeffs(g.field, 4, v))
-t = maximal_torus(g, tm, "exhaustive")
+t = maximal_torus(g, tm)
 print(f"maximum torus dimension: {t.dim} (the diagonal matrices)")
 
 print()
-print("== greedy vs exhaustive on f7 ==================================")
+print("== maximal torus of f7 =========================================")
 g, tm = fixture("f7")
-for mode in ("greedy", "exhaustive"):
-    res = toral_rank(g, tm, mode)
-    print(f"{mode:10s}: rank {res.rank}"
-          + ("  (lower bound by contract)" if res.is_lower_bound_only else ""))
+t = maximal_torus(g, tm)
+print(f"toral rank {t.dim}: no span of commuting torals is larger")
+for b in t.toral_basis:
+    print("  toral basis element", coeffs(g.field, g.dim, b))
 
 print()
 print("== field-relative rank =========================================")
@@ -42,5 +41,5 @@ twisted = LieAlgebra(f2, 2, [[0, 0], [0, 0]], "twisted")
 tmt = TwoMap([unit(f2, 1), unit(f2, 0) ^ unit(f2, 1)])  # e1 -> e2 -> e1+e2
 for k in (1, 2, 3):
     gk, tmk = extend_scalars(twisted, tmt, k)
-    print(f"over GF(2^{k}): toral rank {toral_rank(gk, tmk, 'exhaustive').rank}")
+    print(f"over GF(2^{k}): toral rank {maximal_torus(gk, tmk).dim}")
 print("the squaring map is invertible throughout; only GF(8) contains its fixed vectors")

@@ -18,7 +18,7 @@ for name, build in [
     ("fiveroots", lambda: graded({1: 1, 2: 1, 3: 1, 4: 1, 6: 1}, name="fiveroots")),
 ]:
     g, tm = build()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     d = root_decomposition(g, tm, t)
     dims = {repr(lam): d.roots[lam].dim for lam in d.root_list()}
     label = classify_delta(d).label if d.rank == 3 else "n/a"

@@ -82,6 +82,6 @@ from .screening import (
     self_bracket_bound,
     simplicity_screen,
 )
-from .tori import RankResult, Torus, is_torus, maximal_torus, toral_basis, toral_elements, toral_rank
+from .tori import Torus, is_torus, maximal_torus, toral_basis, toral_elements
 
 __version__ = "0.1.0"

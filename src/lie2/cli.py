@@ -3,8 +3,8 @@
 Subcommands::
 
     lie2 verify <file> [--report json|text]
-    lie2 decompose <file> [--field-degree K] [--torus greedy|exhaustive]
-    lie2 rank <file> [--mode greedy|exhaustive] [--max-field-degree K]
+    lie2 decompose <file> [--field-degree K]
+    lie2 rank <file> [--max-field-degree K]
     lie2 screen <file>
     lie2 simple <file> [--budget N]
     lie2 paper-suite [--fixtures DIR]
@@ -27,6 +27,8 @@ Exit codes, for every subcommand:
 ``decompose --field-degree`` accepts 0 (keep the file's field) or 1..16,
 ``rank --max-field-degree`` 1..16 and ``simple --budget`` any N >= 1; a
 number outside its range is a usage error, exit 2, as argparse reports it.
+``simple --budget N`` runs the oracle on inputs with k*n <= floor(log2 N),
+which need fewer than N generator closures, and refuses larger ones.
 
 Errors go to stderr as ``error: ...``.  All output is deterministic given
 the flags and ``--seed``.
@@ -56,14 +58,13 @@ from .screening import (
     construct_ideal_rank3,
     dimension_transfer,
     is_simple,
-    kernel_confinement,
     missing_roots_obstruction,
     n_subspace,
     one_dim_rootspace_ideal,
     self_bracket_bound,
     simplicity_screen,
 )
-from .tori import maximal_torus, toral_rank
+from .tori import maximal_torus
 
 SCREEN_EXIT = {VERDICT_PASSES: 0, VERDICT_WITNESS: 10, VERDICT_OUT_OF_SCOPE: 20}
 
@@ -100,10 +101,10 @@ def cmd_decompose(args) -> int:
     g, tm = fileio.load(args.file)
     if args.field_degree and args.field_degree != g.field.k:
         g, tm = extend_scalars(g, tm, args.field_degree)
-    t = maximal_torus(g, tm, args.torus)
+    t = maximal_torus(g, tm)
     d = root_decomposition(g, tm, t)
     print(f"algebra {g.name}: dim {g.dim} over {g.field}")
-    print(f"torus dim {t.dim} ({args.torus}), cartan dim {d.cartan.dim}, nil dim {d.nil_part.dim}")
+    print(f"torus dim {t.dim}, cartan dim {d.cartan.dim}, nil dim {d.nil_part.dim}")
     print(f"roots ({len(d.roots)}):")
     for lam in d.root_list():
         print(f"  {lam} dim {d.roots[lam].dim}")
@@ -127,13 +128,11 @@ def cmd_rank(args) -> int:
     for k in degrees:
         gk, tmk = extend_scalars(g, tm, k) if k != g.field.k else (g, tm)
         try:
-            res = toral_rank(gk, tmk, args.mode)
+            ranks[k] = maximal_torus(gk, tmk).dim
         except BudgetExceededError as exc:
             print(f"field degree {k}: refused ({exc})")
             continue
-        ranks[k] = res.rank
-        flag = " (lower bound)" if res.is_lower_bound_only else ""
-        print(f"field degree {k}: toral rank {res.rank}{flag}")
+        print(f"field degree {k}: toral rank {ranks[k]}")
     if not ranks:
         return 2
     for k in ranks:
@@ -166,8 +165,7 @@ def cmd_screen(args) -> int:
 
 def cmd_simple(args) -> int:
     g, tm = fileio.load(args.file)
-    bits = max(int(args.budget).bit_length() - 1, 1)
-    verdict = is_simple(g, tm, budget_bits=bits)
+    verdict = is_simple(g, tm, budget_bits=args.budget.bit_length() - 1)
     if verdict.simple:
         print(f"algebra {g.name}: simple ({verdict.closures_run} generator closures)")
     else:
@@ -225,7 +223,7 @@ def _suite_fixture_checks(suite, name, g, tm):
     two = verify_two_map(g, tm)
     suite.check(name, "axioms", lie.ok and two.ok, f"lie={lie.ok} twomap={two.ok}")
 
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     d = root_decomposition(g, tm, t)
     total = d.cartan.dim + sum(sp.dim for sp in d.roots.values())
     grading = grading_check(g, d)
@@ -292,7 +290,7 @@ def _suite_nsubspace_identity(suite, rng):
     pool = [fixtures.f7(), fixtures.u1(), fixtures.u2(), fixtures.delta0((1, 2, 1, 2, 1, 1, 2))]
     decomps = []
     for g, tm in pool:
-        t = maximal_torus(g, tm, "exhaustive")
+        t = maximal_torus(g, tm)
         decomps.append((g, tm, root_decomposition(g, tm, t)))
     ok = True
     trials = 40
@@ -315,7 +313,7 @@ def _suite_vacuity(suite):
     family = fixtures.vacuity_family()
     for label, build in family:
         g, tm = build()
-        t = maximal_torus(g, tm, "exhaustive")
+        t = maximal_torus(g, tm)
         d = root_decomposition(g, tm, t)
         rep = construct_ideal_rank3(g, tm, d)
         if rep.lemma is None:
@@ -389,12 +387,10 @@ def build_parser():
     p.add_argument("--field-degree", type=_int_in(0, max(IRREDUCIBLE_POLY)), default=0,
                    help="extend scalars to GF(2^K), 1..16, before decomposing; 0 keeps "
                         "the file's field")
-    p.add_argument("--torus", choices=["greedy", "exhaustive"], default="exhaustive")
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("rank", help="relative toral rank per field degree")
     p.add_argument("file")
-    p.add_argument("--mode", choices=["greedy", "exhaustive"], default="exhaustive")
     p.add_argument("--max-field-degree", type=_int_in(1, max(IRREDUCIBLE_POLY)), default=2,
                    help="try every degree 1..K, K in 1..16, for a GF(2) file")
     p.set_defaults(func=cmd_rank)
@@ -405,8 +401,9 @@ def build_parser():
 
     p = sub.add_parser("simple", help="brute-force simplicity oracle")
     p.add_argument("file")
-    p.add_argument("--budget", type=_int_in(1), default=1 << 20,
-                   help="maximum number of generator closures, at least 1")
+    p.add_argument("--budget", type=_int_in(1), default=1 << 20, metavar="N",
+                   help="generator closures allowed, at least 1: an input runs when "
+                        "k*n <= floor(log2 N)")
     p.set_defaults(func=cmd_simple)
 
     p = sub.add_parser("paper-suite", help="run the built-in check suite over the corpus")

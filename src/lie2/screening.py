@@ -69,7 +69,7 @@ from .roots import (
     root_decomposition,
     square_span,
 )
-from .tori import toral_rank
+from .tori import maximal_torus
 
 SIMPLE_ORACLE_BITS = 20  # ceiling on k*n for the exhaustive simplicity oracle
 
@@ -225,11 +225,9 @@ def dimension_transfer(g, tm, d, xi: RootFunctional, eta: RootFunctional) -> Dim
     """
     if xi not in d.roots or eta not in d.roots:
         raise PreconditionError("both functionals must be roots")
-    ssp = square_span(g, tm, d, xi)
-    ker = extended_root(g, d, eta).kernel()
-    if ker.contains_space(ssp):
-        return DimensionTransfer("HypothesisNotMet")
     er = extended_root(g, d, eta)
+    if er.kernel().contains_space(square_span(g, tm, d, xi)):
+        return DimensionTransfer("HypothesisNotMet")
     witness = None
     sp = d.roots[xi]
     candidates = list(sp.rows) + [a ^ b for a, b in combinations(sp.rows, 2)]
@@ -609,12 +607,12 @@ def simplicity_screen(g: LieAlgebra, tm: TwoMap) -> ScreenResult:
             raise ContradictionError("center failed to verify as a proper nonzero ideal")
         return ScreenResult(VERDICT_WITNESS, ideal=rep, reason="nonzero center")
     try:
-        rank_res = toral_rank(g, tm, "exhaustive")
+        t = maximal_torus(g, tm)
     except BudgetExceededError as exc:
         return ScreenResult(VERDICT_OUT_OF_SCOPE, reason=str(exc))
-    if rank_res.rank != 3:
-        return ScreenResult(VERDICT_OUT_OF_SCOPE, reason=f"toral rank {rank_res.rank} != 3")
-    d = root_decomposition(g, tm, rank_res.certificate)
+    if t.dim != 3:
+        return ScreenResult(VERDICT_OUT_OF_SCOPE, reason=f"toral rank {t.dim} != 3")
+    d = root_decomposition(g, tm, t)
     if not is_triangulable(g, d):
         return ScreenResult(VERDICT_OUT_OF_SCOPE, reason="Cartan subalgebra not triangulable")
     cls = classify_delta(d)
@@ -630,8 +628,10 @@ def simplicity_screen(g: LieAlgebra, tm: TwoMap) -> ScreenResult:
         if not (rep.verified_ideal and rep.proper and rep.nonzero):
             raise ContradictionError(f"missing-roots ideal failed verification: {rep}")
         return ScreenResult(VERDICT_WITNESS, ideal=rep, reason=f"configuration {cls.label}")
-    rep = construct_ideal_rank3(g, tm, d)
-    if rep.lemma is not None:
+    # the preconditions of construct_ideal_rank3 all hold here, so fire directly
+    hit = dispatch({lam.as_int(): sp.dim for lam, sp in d.roots.items()})
+    if hit is not None:
+        rep = named_construction(g, tm, d, *hit)
         if not (rep.verified_ideal and rep.proper and rep.nonzero):
             raise ContradictionError(f"rank-3 construction failed verification: {rep}")
         pair = _first_unequal_pair(d)

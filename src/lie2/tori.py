@@ -19,9 +19,10 @@ those bits over GF(2), for every k.  Two facts make that exact:
    commuting torals is the dimension of the torus it spans over GF(2^k).
 
 So the tori with a toral basis are exactly the spans of commuting toral
-sets, and the exhaustive rank search walks GF(2)-spans of commuting
-torals through generators of strictly increasing raw-bit pivot; no
-visited-set is needed.
+sets.  :func:`maximal_torus` is the one way to a torus and the toral
+rank: it enumerates every toral and searches the GF(2)-spans of
+commuting torals through generators of strictly increasing raw-bit pivot
+for one of maximum dimension; no visited-set is needed.
 
 Toral elements are found by one bit-sliced kernel for every field degree:
 x -> x^[2] + x is a quadratic map of the k*n raw bits of x, so it is
@@ -42,10 +43,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import LieAlgebra, centralizer
+from .algebra import LieAlgebra
 from .errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from .field import gf
-from .linalg import Subspace, _reduce, combine, kernel_of_map, rref_rows, vscale
+from .linalg import Subspace, combine, kernel_of_map, rref_rows, vscale
 from .restricted import TwoMap, _raw_images, square
 
 TORAL_ENUM_BITS = 24        # ceiling on k*n for exhaustive toral enumeration
@@ -65,17 +66,6 @@ class Torus:
 
     def __repr__(self):
         return f"Torus(dim {self.dim})"
-
-
-@dataclass(frozen=True)
-class RankResult:
-    rank: int
-    certificate: Torus
-    mode: str  # "exhaustive" (true maximum) or "greedy" (lower bound)
-
-    @property
-    def is_lower_bound_only(self) -> bool:
-        return self.mode == "greedy"
 
 
 def _xor_into(tables, v, mask):
@@ -308,47 +298,18 @@ def _max_toral_span(g: LieAlgebra, torals):
     return tuple(rref_rows(f, list(best))[0]), best
 
 
-def maximal_torus(g: LieAlgebra, tm: TwoMap, mode: str = "exhaustive") -> Torus:
-    """A maximal torus: true maximum in exhaustive mode, greedy otherwise.
+def maximal_torus(g: LieAlgebra, tm: TwoMap) -> Torus:
+    """A torus of maximum dimension, with a toral basis.
 
-    Greedy extends by the lexicographically smallest toral element of the
-    centralizer of the current torus until none exists; over GF(2) the
-    result is maximal (not necessarily maximum).
+    Its dimension is the toral rank of g relative to the coefficient field.
+    The torals are enumerated exhaustively and their commuting spans
+    searched for one of maximum dimension (see :func:`_max_toral_span`), so
+    the answer is the true maximum; an algebra past the enumeration budget
+    is refused with BudgetExceededError.
     """
     f, n = g.field, g.dim
-    if mode == "exhaustive":
-        torals = toral_elements(g, tm)
-        if not torals:
-            return Torus(Subspace.zero(f, n), ())
-        rows, gens = _max_toral_span(g, torals)
-        return Torus(Subspace(f, n, rows), tuple(gens))
-    if mode != "greedy":
-        raise ValueError(f"unknown search mode {mode!r}")
-
-    echelon: dict = {}
-    gens: list = []
-    current = Subspace.zero(f, n)
-    while True:
-        z = centralizer(g, current)
-        if f.k * z.dim > TORAL_ENUM_BITS:
-            raise BudgetExceededError("greedy step exceeds the enumeration budget")
-        # ambient-lexicographic candidate order keeps runs deterministic
-        candidates = sorted(z.vectors()) if f.k * z.dim <= 20 else z.vectors()
-        for v in candidates:
-            if v and square(g, tm, v) == v and _reduce(f, echelon, v):
-                break
-        else:
-            break
-        gens.append(v)
-        current = Subspace(f, n, rref_rows(f, echelon.values())[0])
-    return Torus(current, tuple(gens))
-
-
-def toral_rank(g: LieAlgebra, tm: TwoMap, mode: str = "exhaustive") -> RankResult:
-    """Relative toral rank with a witness torus.
-
-    Exhaustive mode returns the maximum torus dimension over the current
-    coefficient field; greedy mode returns a lower bound flagged as such.
-    """
-    t = maximal_torus(g, tm, mode)
-    return RankResult(t.dim, t, mode)
+    torals = toral_elements(g, tm)
+    if not torals:
+        return Torus(Subspace.zero(f, n), ())
+    rows, gens = _max_toral_span(g, torals)
+    return Torus(Subspace(f, n, rows), tuple(gens))

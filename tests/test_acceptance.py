@@ -44,7 +44,7 @@ from lie2.screening import (
     one_dim_rootspace_ideal,
     simplicity_screen,
 )
-from lie2.tori import maximal_torus, toral_rank
+from lie2.tori import maximal_torus
 
 F2 = gf(1)
 
@@ -72,7 +72,7 @@ def _verdict(n, ok, detail):
 
 def decompose(build):
     g, tm = build()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     return g, tm, root_decomposition(g, tm, t)
 
 
@@ -91,7 +91,7 @@ def test_criterion_2_decomposition_completeness():
     worst = 0.0
     for name, build in SHIPPED:
         g, tm = build()
-        t = maximal_torus(g, tm, "exhaustive")
+        t = maximal_torus(g, tm)
         start = time.monotonic()
         d = root_decomposition(g, tm, t)
         total = d.cartan.dim + sum(sp.dim for sp in d.roots.values())
@@ -119,11 +119,11 @@ def test_criterion_4_dimension_bound():
         g, tm = build()
         if center(g).dim:
             continue
-        rank = toral_rank(g, tm, "exhaustive").rank
+        rank = maximal_torus(g, tm).dim
         assert g.dim >= 2 * rank, name
         centerless.append(name)
     g, tm = f6()
-    assert g.dim == 2 * toral_rank(g, tm, "exhaustive").rank
+    assert g.dim == 2 * maximal_torus(g, tm).dim
     _verdict(4, True,
              f"dim >= 2*rank on centerless fixtures {centerless}, equality attained by f6")
 

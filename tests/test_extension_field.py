@@ -24,7 +24,7 @@ from lie2.field import gf
 from lie2.linalg import support, vget, vscale
 from lie2.restricted import TwoMap
 from lie2.screening import VERDICT_WITNESS
-from lie2.tori import toral_rank
+from lie2.tori import maximal_torus
 
 
 def test_f6_over_gf4_full_pipeline():
@@ -36,7 +36,7 @@ def test_f6_over_gf4_full_pipeline():
     direct = sorted(v for v in range(1, 1 << 12) if square(g, tm, v) == v)
     assert toral_elements(g, tm) == direct
 
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.dim == 3
     d = root_decomposition(g, tm, t)
     assert {lam.as_int(): sp.dim for lam, sp in d.roots.items()} == {1: 1, 2: 1, 4: 1}
@@ -50,7 +50,7 @@ def test_f6_over_gf4_full_pipeline():
 def test_gl2_over_gf4_keeps_rank_two():
     g0, tm0 = fixture("gl", n=2)
     g, tm = extend_scalars(g0, tm0, 2)
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.dim == 2
     d = root_decomposition(g, tm, t)
     lam = next(iter(d.roots))
@@ -135,5 +135,5 @@ def test_refused_degree_builds_no_raw_table():
     g0, tm0 = fixture("u2")
     g, tm = extend_scalars(g0, tm0, 16)
     with pytest.raises(BudgetExceededError):
-        toral_rank(g, tm)
+        maximal_torus(g, tm)
     assert g._raw is None and not tm._raw

@@ -314,17 +314,11 @@ def test_cli_entrypoint_missing_file_has_no_traceback(tmp_path):
 def test_cli_decompose(files, capsys):
     assert main(["decompose", files["f6"]]) == 0
     out = capsys.readouterr().out
-    assert "torus dim 3" in out
+    assert "torus dim 3, cartan dim 3, nil dim 0\n" in out
     assert "configuration: Delta1" in out
     assert "triangulable: yes" in out
     assert "standard: yes" in out
     assert "(1,0,0) dim 1" in out
-
-
-def test_cli_decompose_greedy(files, capsys):
-    assert main(["decompose", files["gl2"], "--torus", "greedy"]) == 0
-    out = capsys.readouterr().out
-    assert "torus dim 2 (greedy)" in out
 
 
 def test_cli_screen_exit_codes(files, capsys):
@@ -352,6 +346,15 @@ def test_cli_simple(files, capsys):
     assert main(["simple", files["f6"]]) == 0
     assert "not simple" in capsys.readouterr().out
     assert main(["simple", files["f6"], "--budget", "8"]) == 2  # 2^6 > 8 closures
+
+
+@pytest.mark.parametrize("budget, bits", [("1", 0), ("3", 1), ("63", 5)])
+def test_cli_simple_budget_allows_floor_log2_bits(files, capsys, budget, bits):
+    # the dim-6 f6 over GF(2) needs k*n = 6 <= floor(log2 N)
+    assert main(["simple", files["f6"], "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: simplicity oracle needs 2^6 closures, budget is 2^{bits}\n"
+    assert main(["simple", files["f6"], "--budget", "64"]) == 0
 
 
 def test_cli_rank_stabilization(files, capsys):
@@ -400,9 +403,16 @@ def test_cli_range_ends_are_accepted(files, capsys):
     assert "field degree 16: refused (" in out
 
 
-def test_cli_rank_greedy_flag(files, capsys):
-    assert main(["rank", files["f6"], "--mode", "greedy", "--max-field-degree", "1"]) == 0
-    assert "(lower bound)" in capsys.readouterr().out
+@pytest.mark.parametrize("argv", [
+    ["rank", "--mode", "greedy"],
+    ["decompose", "--torus", "greedy"],
+])
+def test_cli_torus_search_has_no_mode_option(files, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], files["f6"], *argv[1:]])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"unrecognized arguments: {argv[1]} greedy" in captured.err and not captured.out
 
 
 def test_cli_paper_suite_with_fixture_dir(files, tmp_path, capsys):

@@ -32,7 +32,7 @@ F2 = gf(1)
 
 def decomposition(build):
     g, tm = build() if callable(build) else build
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     return g, tm, root_decomposition(g, tm, t)
 
 
@@ -40,19 +40,19 @@ def decomposition(build):
 
 def test_cartan_abelian_is_everything():
     g, tm = torus(3)
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert cartan_subalgebra(g, tm, t) == g.full_space()
 
 
 def test_cartan_f6_is_torus():
     g, tm = f6()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert cartan_subalgebra(g, tm, t) == g.subspace([unit(F2, i) for i in range(3)])
 
 
 def test_cartan_gl2_is_diagonal():
     g, tm = gl(2)
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     h = cartan_subalgebra(g, tm, t)
     assert h == g.subspace([unit(F2, 0), unit(F2, 3)])
     assert h == centralizer(g, t.subspace)
@@ -62,7 +62,7 @@ def test_cartan_gl2_is_diagonal():
 
 def test_split_f6_has_zero_nil_part():
     g, tm = f6()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     h = cartan_subalgebra(g, tm, t)
     t_sub, n_sub = split_cartan(g, tm, h, t)
     assert t_sub == t.subspace and n_sub.dim == 0
@@ -70,7 +70,7 @@ def test_split_f6_has_zero_nil_part():
 
 def test_split_f6n_finds_the_nil_generator():
     g, tm = f6n()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     h = cartan_subalgebra(g, tm, t)
     t_sub, n_sub = split_cartan(g, tm, h, t)
     assert n_sub == g.subspace([unit(F2, 3)])  # basis order: t1 t2 t3 z ...
@@ -82,7 +82,7 @@ def test_split_fails_on_sl2():
     # not form a subspace: E12 and E21 square to zero but their sum squares
     # to the identity
     g, tm = sl(2)
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.dim == 1  # span{I}
     h = cartan_subalgebra(g, tm, t)
     assert h == g.full_space()
@@ -92,7 +92,7 @@ def test_split_fails_on_sl2():
 
 def test_split_requires_containment():
     g, tm = f6()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     with pytest.raises(PreconditionError):
         split_cartan(g, tm, g.subspace([unit(F2, 0)]), t)
 

@@ -66,7 +66,7 @@ F2 = gf(1)
 
 def decomposition(build):
     g, tm = build() if callable(build) else build
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     return g, tm, root_decomposition(g, tm, t)
 
 
@@ -163,7 +163,7 @@ def test_corrupted_tensor_caught_by_grading_first():
     from lie2.algebra import LieAlgebra
 
     bad = LieAlgebra(F2, 6, table, "f6corrupt")
-    t = maximal_torus(bad, tm, "exhaustive")
+    t = maximal_torus(bad, tm)
     d = root_decomposition(bad, tm, t)
     assert not grading_check(bad, d).ok
 
@@ -211,7 +211,7 @@ def test_n_subspace_excludes_vectors_bracketing_onto_torus():
     # in gl(2) + outer toral line, [E12, E21] = E11 + E22 is toral, so no
     # nonzero element of the matrix root space satisfies the nil condition
     g, tm = gltor()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.dim == 3
     d = root_decomposition(g, tm, t)
     sigma = RootFunctional((1, 1, 0))

@@ -38,7 +38,6 @@ from lie2.tori import (
     maximal_torus,
     toral_basis,
     toral_elements,
-    toral_rank,
 )
 
 F2 = gf(1)
@@ -94,13 +93,11 @@ def test_toral_elements_budget():
         toral_elements(g, TwoMap([0] * 25))
 
 
-@pytest.mark.parametrize("mode", ["exhaustive", "greedy"])
-def test_both_search_modes_refuse_past_the_budget(mode):
-    # greedy's first step enumerates the whole algebra under the same budget
+def test_maximal_torus_refuses_past_the_budget():
     g, tm = torus(25)
     with pytest.raises(BudgetExceededError) as err:
-        maximal_torus(g, tm, mode)
-    assert "use the greedy search" not in str(err.value)  # no advice that cannot help
+        maximal_torus(g, tm)
+    assert "needs 2^25 candidates, budget is 2^24" in str(err.value)
 
 
 # The fixture corpus of the paper suite, the u2 relabellings of its vacuity
@@ -286,13 +283,13 @@ def test_toral_basis_requires_torus():
 
 def test_maximal_torus_abelian_identity_two_map():
     g, tm = torus(4)
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.subspace == g.full_space()
 
 
 def test_maximal_torus_f6():
     g, tm = f6()
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.dim == 3
     assert t.subspace == g.subspace([unit(F2, i) for i in range(3)])
     assert is_torus(g, tm, t.subspace)
@@ -300,86 +297,84 @@ def test_maximal_torus_f6():
 
 def test_maximal_torus_gl2():
     g, tm = gl(2)
-    t = maximal_torus(g, tm, "exhaustive")
+    t = maximal_torus(g, tm)
     assert t.dim == 2
     assert is_torus(g, tm, t.subspace)
 
 
-def test_greedy_equals_exhaustive_on_fixtures():
-    for build in (f6, f7, u1, lambda: gl(2), lambda: gl(3), rank2sq,
-                  lambda: witt(1), lambda: witt(2), lambda: torus(3)):
+def test_maximal_torus_known_ranks_on_fixtures():
+    # gl(n) has its n-dimensional diagonal torus and the Witt algebras rank 1
+    for build, rank in ((f6, 3), (f7, 3), (u1, 3), (lambda: gl(2), 2), (lambda: gl(3), 3),
+                        (rank2sq, 2), (lambda: witt(1), 1), (lambda: witt(2), 1),
+                        (lambda: torus(3), 3)):
         g, tm = build()
-        ex = toral_rank(g, tm, "exhaustive")
-        gr = toral_rank(g, tm, "greedy")
-        assert gr.rank <= ex.rank
-        assert gr.rank == ex.rank, g.name
-        assert gr.is_lower_bound_only and not ex.is_lower_bound_only
-        assert is_torus(g, tm, ex.certificate.subspace)
-        assert is_torus(g, tm, gr.certificate.subspace)
+        t = maximal_torus(g, tm)
+        assert t.dim == rank, g.name
+        assert is_torus(g, tm, t.subspace)
 
 
 # -- toral rank ------------------------------------------------------------------------
 
 def test_rank_zero_algebra():
     g, tm = torus(0)
-    assert toral_rank(g, tm, "exhaustive").rank == 0
+    assert maximal_torus(g, tm).dim == 0
 
 
 def test_rank_torus_fixture():
     for r in range(1, 5):
         g, tm = torus(r)
-        assert toral_rank(g, tm, "exhaustive").rank == r
+        assert maximal_torus(g, tm).dim == r
 
 
 def test_rank_f6_with_bounds():
     g, tm = f6()
-    res = toral_rank(g, tm, "exhaustive")
-    assert res.rank == 3
+    t = maximal_torus(g, tm)
+    assert t.dim == 3
     # upper bound: the centralizer of the witness torus is 3-dimensional
     from lie2.algebra import centralizer
 
-    assert centralizer(g, res.certificate.subspace).dim == 3
+    assert centralizer(g, t.subspace).dim == 3
 
 
 def test_dim_bound_on_centerless_fixtures():
     for build in (f6, f7, u1, u2, rank2sq, lambda: witt(1), lambda: witt(2)):
         g, tm = build()
         assert center(g).dim == 0
-        r = toral_rank(g, tm, "exhaustive").rank
+        r = maximal_torus(g, tm).dim
         assert g.dim >= 2 * r, g.name
     g, tm = f6()
-    assert g.dim == 2 * toral_rank(g, tm, "exhaustive").rank  # tight
+    assert g.dim == 2 * maximal_torus(g, tm).dim  # tight
 
 
 def test_rank_monotone_on_nested_fixtures():
     # gl(2) embeds into gl(3) as a corner block
-    r2 = toral_rank(*gl(2), mode="exhaustive").rank
-    r3 = toral_rank(*gl(3), mode="exhaustive").rank
+    r2 = maximal_torus(*gl(2)).dim
+    r3 = maximal_torus(*gl(3)).dim
     assert r2 <= r3
     assert (r2, r3) == (2, 3)
 
 
 def test_rank_over_gf4_known_answers():
     # gl(3) keeps its diagonal torus; sl(3) has rank 2 over every field
-    assert toral_rank(*extend_scalars(*gl(3), 2)).rank == 3
-    assert toral_rank(*extend_scalars(*sl(3), 2)).rank == 2
+    assert maximal_torus(*extend_scalars(*gl(3), 2)).dim == 3
+    assert maximal_torus(*extend_scalars(*sl(3), 2)).dim == 2
 
 
 def test_rank_is_field_relative():
     g, tm = twisted_torus()
-    assert toral_rank(g, tm, "exhaustive").rank == 0
+    assert maximal_torus(g, tm).dim == 0
     g4, tm4 = extend_scalars(g, tm, 2)
-    assert toral_rank(g4, tm4, "exhaustive").rank == 0
+    assert maximal_torus(g4, tm4).dim == 0
     g8, tm8 = extend_scalars(g, tm, 3)
-    res = toral_rank(g8, tm8, "exhaustive")
-    assert res.rank == 2  # fixed vectors of squaring exist over GF(8)
-    assert is_torus(g8, tm8, res.certificate.subspace)
+    t = maximal_torus(g8, tm8)
+    assert t.dim == 2  # fixed vectors of squaring exist over GF(8)
+    assert is_torus(g8, tm8, t.subspace)
 
 
 def test_returned_torus_basis_is_toral():
     for build in (f6, f7, lambda: gl(3), u2):
         g, tm = build()
-        t = maximal_torus(g, tm, "exhaustive")
+        t = maximal_torus(g, tm)
         for b in t.toral_basis:
             assert square(g, tm, b) == b
         assert Subspace.from_vectors(g.field, g.dim, t.toral_basis) == t.subspace
