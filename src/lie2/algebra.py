@@ -209,10 +209,15 @@ def derived_subalgebra(g: LieAlgebra, u: Subspace) -> Subspace:
 
 
 def is_ideal(g: LieAlgebra, u: Subspace) -> bool:
-    """True iff [g, u] is contained in u."""
+    """True iff [g, u] is contained in u.
+
+    Every bracket of a row with a basis vector is reduced against the pivots
+    of u's canonical rows; ``limit=0`` leaves that echelon unchanged.
+    """
     f = g.field
-    return all(
-        u.contains(g.bracket(r, unit(f, j))) for r in u.rows for j in range(g.dim)
+    echelon = {((r & -r).bit_length() - 1) // f.k: r for r in u.rows}
+    return not any(
+        _reduce(f, echelon, g.bracket(r, unit(f, j)), 0) for r in u.rows for j in range(g.dim)
     )
 
 

@@ -22,6 +22,8 @@ Exit codes, for every subcommand:
           the program, or an input corrupted after verification
     10    ``screen``: NotSimpleWitness
     20    ``screen``: OutOfScope
+    141   stdout was closed before the output was written (a reader such
+          as ``head`` exited early); 128 + SIGPIPE, as a shell reports it
     ====  ==============================================================
 
 ``decompose --field-degree`` accepts 0 (keep the file's field) or 1..16,
@@ -39,6 +41,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -67,6 +70,7 @@ from .screening import (
 from .tori import maximal_torus
 
 SCREEN_EXIT = {VERDICT_PASSES: 0, VERDICT_WITNESS: 10, VERDICT_OUT_OF_SCOPE: 20}
+BROKEN_PIPE_EXIT = 141  # 128 + SIGPIPE
 
 
 def _fmt_vec(g, v):
@@ -415,7 +419,16 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, not in the interpreter's final flush
+        return code
+    except BrokenPipeError:
+        # The reader is gone.  Point stdout at devnull, so that what is still
+        # buffered goes nowhere when the interpreter flushes it on exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return BROKEN_PIPE_EXIT
     except ContradictionError as exc:
         print(f"error: contradiction: {exc}", file=sys.stderr)
         return 3

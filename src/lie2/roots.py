@@ -159,16 +159,17 @@ def root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition
         e1 = kernel_of_map(f, n, [c ^ unit(f, j) for j, c in enumerate(cols0)])
         eigen.append((e0, e1))
 
-    cartan = Subspace.full(f, n)
-    for e0, _ in eigen:
-        cartan = cartan.intersect(e0)
+    # joint[bits]: the joint eigenspace on which t_i acts by bit i of bits,
+    # built level by level from the joint eigenspaces of the first i torals
+    joint = [Subspace.full(f, n)]
+    for i, pair in enumerate(eigen):
+        joint = list(pair) if i == 0 else [s.intersect(e) for e in pair for s in joint]
 
+    cartan = joint[0]
     roots_ = {}
     total = cartan.dim
     for bits in range(1, 1 << r):
-        space = Subspace.full(f, n)
-        for i in range(r):
-            space = space.intersect(eigen[i][(bits >> i) & 1])
+        space = joint[bits]
         if space.dim:
             roots_[RootFunctional.from_int(bits, r)] = space
             total += space.dim

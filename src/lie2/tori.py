@@ -30,7 +30,11 @@ evaluated on all 2^12 assignments of a low block of bits at once, one
 truth-table int per output coordinate, while a Gray-code walk over the
 remaining high bits updates each table by xor on every flip (see
 :func:`toral_elements`).  It and the torus search, whose candidate sets are
-bitsets over toral indices, read the algebra's raw-bit bracket table.
+bitsets over toral indices, read the algebra's raw-bit bracket table.  The
+search's set-up is linear in the number of torals: their raw-bit columns
+are read in C from one byte string (:func:`_bit_columns`), and each search
+state walks only the torals whose pivot class can still beat the best span
+found so far.
 
 Rank values are relative to the coefficient field: over a small field a
 2-map can be invertible on an abelian subalgebra that contains no toral
@@ -196,6 +200,26 @@ def toral_basis(g: LieAlgebra, tm: TwoMap, u: Subspace):
 # maximal torus search
 # ---------------------------------------------------------------------------
 
+# _BIT_CHAR[r] maps a byte to ASCII '1' if its bit r is set and '0' otherwise
+_BIT_CHAR = [bytes(0x31 if x >> r & 1 else 0x30 for x in range(256)) for r in range(8)]
+
+
+def _bit_columns(vectors, bits):
+    """cols[q]: the indices j with bit q of vectors[j] set, as a bitset over j.
+
+    The vectors are packed little-endian, w = ceil(bits / 8) bytes each, into
+    one byte string.  Column q is the stride-w slice of byte q // 8, which
+    ``bytes.translate`` turns into one ASCII digit per vector; reversed, so
+    that vector j lands on bit j, it is read by ``int(..., 2)``.  Every step
+    runs in C, so the columns take time linear in len(vectors) * bits.
+    """
+    if not vectors:
+        return [0] * bits
+    w = (bits + 7) >> 3
+    packed = b"".join(v.to_bytes(w, "little") for v in vectors)
+    return [int(packed[q >> 3::w].translate(_BIT_CHAR[q & 7])[::-1], 2) for q in range(bits)]
+
+
 def _max_toral_span(g: LieAlgebra, torals):
     """Maximum-dimension span of pairwise-commuting torals.
 
@@ -217,19 +241,27 @@ def _max_toral_span(g: LieAlgebra, torals):
     then the bit set in the most of the rest, and so on, whose count does
     not.  Neither cuts a subtree holding a longer span than the best so
     far, so the result is the first maximum span in ascending index order.
+
     Candidate sets are bitsets over toral indices, visited in ascending
-    index order, and commuting sets come from ``g.raw``.  Returns (rows,
-    generators).
+    index order, and commuting sets come from ``g.raw``.  The set-up is
+    linear in the number m of torals: the bit columns ``has[q]`` (the
+    torals with raw bit q set) are built in C by :func:`_bit_columns`, the
+    pivot classes ``pivots[q]`` (the torals with pivot q) follow as
+    has[q] minus the columns below q, and a toral's pivot is computed only
+    when it is visited.  A state walks only its live candidates, those in a
+    pivot class whose growth bound still beats the best span, and narrows
+    them again whenever the best span grows, so it never touches the m
+    torals one by one once no class can win.  Returns (rows, generators).
     """
     f, k = g.field, g.field.k
     bits = k * g.dim
     everyone = (1 << len(torals)) - 1
-    piv = [(t & -t).bit_length() - 1 for t in torals]
-    has = [0] * bits      # has[q]: torals with raw bit q set
-    pivots = [0] * bits   # pivots[q]: torals with pivot q
-    for j, t in enumerate(torals):
-        _xor_into(has, t, 1 << j)
-        pivots[piv[j]] |= 1 << j
+    has = _bit_columns(torals, bits)
+    pivots = []           # pivots[q]: torals with pivot q
+    below = 0
+    for col in has:
+        pivots.append(col & ~below)
+        below |= col
     above = [0] * bits    # above[p]: torals with pivot greater than p
     for p in range(bits - 2, -1, -1):
         above[p] = above[p + 1] | pivots[p + 1]
@@ -281,18 +313,30 @@ def _max_toral_span(g: LieAlgebra, torals):
             return
         # growth bound of each child: the span it starts lies in the
         # candidates with pivot at least its own
-        bound = {q: len(gens) + min(len(pivset) - i, spread(cand & (pivots[q] | above[q])))
-                 for i, q in enumerate(pivset)}
-        rest = cand
+        bound = [(q, len(gens) + min(len(pivset) - i, spread(cand & (pivots[q] | above[q]))))
+                 for i, q in enumerate(pivset)]
+
+        def live():
+            """The candidates whose pivot class can still beat the best span."""
+            s = 0
+            for q, b in bound:
+                if b > len(best):
+                    s |= pivots[q]
+            return cand & s
+
+        reached = len(best)
+        rest = live()
         while rest:
             low = rest & -rest
             rest ^= low
             idx = low.bit_length() - 1
-            p = piv[idx]
-            if bound[p] > len(best):
-                sub = cand & above[p] & commuting(idx)
-                if sub or len(gens) >= len(best):  # a leaf matters only as a new best
-                    visit(gens + (torals[idx],), sub)
+            t = torals[idx]
+            sub = cand & above[(t & -t).bit_length() - 1] & commuting(idx)
+            if sub or len(gens) >= len(best):  # a leaf matters only as a new best
+                visit(gens + (t,), sub)
+                if len(best) > reached:
+                    reached = len(best)
+                    rest &= live()
 
     visit((), everyone)
     return tuple(rref_rows(f, list(best))[0]), best

@@ -1,5 +1,6 @@
 """File format round trips, rejection of malformed input, CLI contract."""
 
+import os
 import subprocess
 import sys
 
@@ -309,6 +310,24 @@ def test_cli_entrypoint_missing_file_has_no_traceback(tmp_path):
     )
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: Unreadable") and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_cli_closed_stdout_exits_141_without_traceback(files, unbuffered):
+    # the reader of the pipe is gone before the first line: unbuffered, the
+    # first print fails; buffered, the flush at the end of the command does
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "lie2.cli", "decompose", files["f6"]],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONUNBUFFERED=unbuffered),
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_cli_decompose(files, capsys):

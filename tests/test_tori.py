@@ -14,6 +14,7 @@ from lie2.algebra import LieAlgebra, abelian, center
 from lie2.errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from lie2.field import gf
 from lie2.fixtures import (
+    delta0,
     delta2,
     f6,
     f6n,
@@ -32,7 +33,9 @@ from lie2.fixtures import (
 from lie2.linalg import Subspace, coeffs, reduce_vector, rref_rows, unit, vector
 from lie2.restricted import TwoMap, extend_scalars, square
 from lie2.tori import (
+    TORAL_ENUM_BITS,
     Torus,
+    _bit_columns,
     _max_toral_span,
     is_torus,
     maximal_torus,
@@ -129,6 +132,15 @@ def test_toral_elements_incremental_matches_direct():
     assert checked == 46
 
 
+@pytest.mark.parametrize("bits", range(1, TORAL_ENUM_BITS + 1))
+def test_bit_columns_match_per_vector_reference(bits):
+    rng = random.Random(f"columns/{bits}")
+    for size in (0, 1, 7, 8, 9, 3000):
+        vectors = [rng.getrandbits(bits) for _ in range(size)]
+        expected = [sum(1 << j for j, v in enumerate(vectors) if v >> q & 1) for q in range(bits)]
+        assert _bit_columns(vectors, bits) == expected, size
+
+
 def _generic_max_toral_span(g, torals):
     """Reference search: every GF(2^k)-span of commuting torals, memoized by its rows."""
     f = g.field
@@ -199,7 +211,11 @@ def _first_longest_chain(g, torals):
     return best
 
 
-PRUNE_CASES = [("f6", 1), ("f6", 2), ("gltor", 2), ("rank2sq", 2), ("gl2", 2), ("witt2", 2)]
+# delta0((1,1,1,1,1,2,2)) has 272 torals; once the best span is found, most
+# of them lie in pivot classes that can no longer beat it and are not walked.
+PRUNE_CORPUS = dict(CORPUS, delta0_1111122=lambda: delta0((1, 1, 1, 1, 1, 2, 2)))
+PRUNE_CASES = [("f6", 1), ("f6", 2), ("gltor", 2), ("rank2sq", 2), ("gl2", 2), ("witt2", 2),
+               ("delta0_1111122", 1)]
 
 
 @pytest.mark.parametrize("name,k", PRUNE_CASES, ids=[f"{n}-gf{2 ** k}" for n, k in PRUNE_CASES])
@@ -207,7 +223,7 @@ PRUNE_CASES = [("f6", 1), ("f6", 2), ("gltor", 2), ("rank2sq", 2), ("gl2", 2), (
 def test_pruned_search_returns_first_longest_chain(name, k, relabel):
     # the growth bounds cut only subtrees that cannot beat the best span, so
     # the generators are those of the unpruned search on every basis numbering
-    g, tm = CORPUS[name]()
+    g, tm = PRUNE_CORPUS[name]()
     perm = random.Random(f"{name}/{relabel}").sample(range(g.dim), g.dim)
     g, tm = permute_basis(g, tm, perm)
     if k > 1:
