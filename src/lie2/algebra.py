@@ -140,9 +140,6 @@ class LieAlgebra:
     def full_space(self) -> Subspace:
         return Subspace.full(self.field, self.dim)
 
-    def zero_space(self) -> Subspace:
-        return Subspace.zero(self.field, self.dim)
-
     def subspace(self, vectors_) -> Subspace:
         return Subspace.from_vectors(self.field, self.dim, vectors_)
 

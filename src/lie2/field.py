@@ -113,10 +113,6 @@ class GF2k:
             return 1
         return self.pow(a, self.order - 2)
 
-    def sqrt(self, a: int) -> int:
-        """The unique square root; inverse of Frobenius."""
-        return self.pow(a, 1 << (self.k - 1)) if self.k > 1 else a
-
 
 @lru_cache(maxsize=None)
 def gf(k: int) -> GF2k:

@@ -95,11 +95,6 @@ def pivot_index(field: GF2k, v: int) -> int:
     return ((v & -v).bit_length() - 1) // field.k
 
 
-def all_vectors(field: GF2k, n: int):
-    """Every packed vector of GF(2^k)^n, ascending as integers."""
-    return range(1 << (n * field.k))
-
-
 # ---------------------------------------------------------------------------
 # row reduction
 # ---------------------------------------------------------------------------

@@ -28,18 +28,11 @@ from .algebra import (
     centralizer,
     derived_subalgebra,
 )
-from .errors import (
-    BudgetExceededError,
-    NonToralBasisError,
-    PreconditionError,
-    SplitFailureError,
-)
+from .errors import NonToralBasisError, PreconditionError, SplitFailureError
 from .field import gf
 from .linalg import Subspace, combine, kernel_of_map, rref_rows, solve, unit, vget
-from .restricted import TwoMap, is_two_nilpotent, square
+from .restricted import TwoMap, jcs_decompose, span_of_squares
 from .tori import Torus
-
-SPLIT_ENUM_BITS = 16  # ceiling on k*dim(h) when enumerating the Cartan subalgebra
 
 
 # ---------------------------------------------------------------------------
@@ -118,20 +111,30 @@ def cartan_subalgebra(g: LieAlgebra, tm: TwoMap, t: Torus) -> Subspace:
 def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
     """Split h into the torus and its 2-nilpotent complement.
 
-    The nilpotent candidates are found by enumerating h; the result is
-    checked to be a subspace complementing t with [t, n] = 0, and any
-    failure raises SplitFailureError because it falsifies the hypotheses
-    (h not a Cartan subalgebra of a restricted algebra, or t not maximal).
+    If h = t + n with [t, n] = 0 and n 2-nilpotent, then x = a + b (a in t,
+    b in n) is the Jordan-Chevalley decomposition of x, so n is spanned by
+    the 2-nilpotent parts of h's basis.  That span is then certified: the
+    chain n, S(n), S(S(n)), ... with S(V) = span{v^[2] : v in V} must shrink
+    strictly to 0, which makes every element of n 2-nilpotent, because
+    x in V puts x^[2] in S(V).  With t a torus, a complement of t in h
+    commuting with t is then exactly the set of 2-nilpotent elements of h,
+    by uniqueness of the decomposition.  Any failure raises
+    SplitFailureError because it falsifies the hypotheses (h not a Cartan
+    subalgebra of a restricted algebra, or t not maximal).
     """
-    f = g.field
     if not h.contains_space(t.subspace):
         raise PreconditionError("torus must sit inside the subspace being split")
-    if f.k * h.dim > SPLIT_ENUM_BITS:
-        raise BudgetExceededError("Cartan split enumeration exceeds budget")
-    nil_vectors = [x for x in h.vectors() if is_two_nilpotent(g, tm, x)]
-    n_sub = Subspace.from_vectors(f, g.dim, nil_vectors)
-    if len(nil_vectors) != f.order ** n_sub.dim:
-        raise SplitFailureError("2-nilpotent elements of h do not form a subspace")
+    try:
+        nil_parts = [jcs_decompose(g, tm, x)[1] for x in h.rows]
+    except PreconditionError as exc:
+        raise SplitFailureError(str(exc)) from exc
+    n_sub = g.subspace(nil_parts)
+    level = n_sub
+    while level.dim:
+        below = span_of_squares(g, tm, level)
+        if below.dim >= level.dim or not level.contains_space(below):
+            raise SplitFailureError("2-nilpotent parts of h do not span a 2-nilpotent subspace")
+        level = below
     if t.subspace.intersect(n_sub).dim != 0 or t.subspace.sum(n_sub) != h:
         raise SplitFailureError("2-nilpotent part does not complement the torus in h")
     if bracket_span(g, t.subspace, n_sub).dim != 0:
@@ -272,9 +275,7 @@ def square_span(g: LieAlgebra, tm: TwoMap, d: RootDecomposition, xi: RootFunctio
     By the extension rule this equals the span of the basis squares plus
     [g_xi, g_xi].
     """
-    sp = d.space(xi)
-    vecs = [square(g, tm, b) for b in sp.rows]
-    return Subspace.from_vectors(g.field, g.dim, vecs).sum(bracket_span(g, sp, sp))
+    return span_of_squares(g, tm, d.space(xi))
 
 
 # ---------------------------------------------------------------------------

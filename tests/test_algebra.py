@@ -138,7 +138,7 @@ def centralizer_oracle(g, u):
 
 def test_centralizer_of_zero_is_everything(gl2):
     g, _ = gl2
-    assert centralizer(g, g.zero_space()) == g.full_space()
+    assert centralizer(g, Subspace.zero(F2, g.dim)) == g.full_space()
 
 
 def test_centralizer_abelian_is_everything():
@@ -234,7 +234,7 @@ def test_bracket_span_symmetric(gl2):
 
 def test_acts_nilpotently(gl2):
     g, _ = gl2
-    assert acts_nilpotently(g, g.zero_space())
+    assert acts_nilpotently(g, Subspace.zero(F2, g.dim))
     assert acts_nilpotently(g, g.subspace([unit(F2, 1)]))       # E12
     assert not acts_nilpotently(g, g.subspace([unit(F2, 0)]))   # E11
     ab = abelian(2)

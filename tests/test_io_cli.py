@@ -12,7 +12,7 @@ from lie2.algebra import abelian
 from lie2.cli import build_parser, main
 from lie2.errors import ContradictionError, FileFormatError
 from lie2.fileio import dumps, load, loads, save
-from lie2.fixtures import delta0, f6, f7, gl, torus, u2, witt
+from lie2.fixtures import delta0, f6, f7, gl, graded, torus, u2, witt
 from lie2.restricted import TwoMap
 
 GOOD_HEADER = "lie2algebra 1\nname t\ndim 2\nfield_degree 1\n"
@@ -338,6 +338,14 @@ def test_cli_decompose(files, capsys):
     assert "triangulable: yes" in out
     assert "standard: yes" in out
     assert "(1,0,0) dim 1" in out
+
+
+def test_cli_decompose_past_the_old_split_ceiling(tmp_path, capsys):
+    # dim h = 17: the Cartan split is linear algebra, not a 2^17 enumeration
+    path = tmp_path / "graded20.l2a"
+    save(*graded({1: 1, 2: 1, 4: 1}, nil_dim=14), path)
+    assert main(["decompose", str(path)]) == 0
+    assert "torus dim 3, cartan dim 17, nil dim 14\n" in capsys.readouterr().out
 
 
 def test_cli_screen_exit_codes(files, capsys):

@@ -4,11 +4,28 @@ import random
 
 import pytest
 
-from lie2.algebra import centralizer
+from lie2.algebra import bracket_span, centralizer
 from lie2.errors import NonToralBasisError, PreconditionError, SplitFailureError
 from lie2.field import gf
-from lie2.fixtures import delta2, f6, f6n, f7, gl, graded, rank2sq, sl, torus, u1, u2
-from lie2.linalg import unit
+from lie2.fixtures import (
+    delta2,
+    f6,
+    f6n,
+    f7,
+    gl,
+    gltor,
+    graded,
+    permute_basis,
+    rank2sq,
+    sl,
+    torus,
+    u1,
+    u2,
+    vacuity_family,
+    witt,
+)
+from lie2.linalg import Subspace, unit
+from lie2.restricted import extend_scalars, is_two_nilpotent
 from lie2.roots import (
     DELTA_SETS,
     RootFunctional,
@@ -80,14 +97,18 @@ def test_split_f6n_finds_the_nil_generator():
 def test_split_fails_on_sl2():
     # in sl(2, GF(2)) the 2-nilpotent elements of the Cartan subalgebra do
     # not form a subspace: E12 and E21 square to zero but their sum squares
-    # to the identity
-    g, tm = sl(2)
-    t = maximal_torus(g, tm)
-    assert t.dim == 1  # span{I}
-    h = cartan_subalgebra(g, tm, t)
-    assert h == g.full_space()
-    with pytest.raises(SplitFailureError):
-        split_cartan(g, tm, h, t)
+    # to the identity.  sl(2) in characteristic 2 is the Heisenberg algebra,
+    # so a lower-central-series check of h would pass; the split must still
+    # refuse it, over GF(2) and GF(4)
+    for k in (1, 2):
+        g, tm = extend_scalars(*sl(2), k)
+        t = maximal_torus(g, tm)
+        assert t.dim == 1  # span{I}
+        h = cartan_subalgebra(g, tm, t)
+        assert h == g.full_space()
+        assert bracket_span(g, h, bracket_span(g, h, h)).dim == 0
+        with pytest.raises(SplitFailureError):
+            split_cartan(g, tm, h, t)
 
 
 def test_split_requires_containment():
@@ -95,6 +116,77 @@ def test_split_requires_containment():
     t = maximal_torus(g, tm)
     with pytest.raises(PreconditionError):
         split_cartan(g, tm, g.subspace([unit(F2, 0)]), t)
+
+
+def split_by_enumeration(g, tm, h, t):
+    """Reference split: collect the 2-nilpotent elements of h one by one."""
+    nil_vectors = [x for x in h.vectors() if is_two_nilpotent(g, tm, x)]
+    n_sub = g.subspace(nil_vectors)
+    if len(nil_vectors) != g.field.order ** n_sub.dim:
+        raise SplitFailureError("2-nilpotent elements of h do not form a subspace")
+    if t.subspace.intersect(n_sub).dim != 0 or t.subspace.sum(n_sub) != h:
+        raise SplitFailureError("2-nilpotent part does not complement the torus in h")
+    if bracket_span(g, t.subspace, n_sub).dim != 0:
+        raise SplitFailureError("torus does not commute with the 2-nilpotent part")
+    return t.subspace, n_sub
+
+
+def _nil_rows(split, g, tm, h, t):
+    try:
+        return split(g, tm, h, t)[1].rows
+    except SplitFailureError:
+        return "refused"
+
+
+_CORPUS = (
+    [lambda r=r: torus(r) for r in range(1, 5)]
+    + [f6, f6n, f7, delta2, u1, rank2sq, gltor]
+    + [lambda n=n: gl(n) for n in (2, 3)]
+    + [lambda n=n: sl(n) for n in (2, 3)]
+    + [lambda m=m: witt(m) for m in (1, 2, 3)]
+)
+
+
+def _differential_cases():
+    rng = random.Random(11)
+    for build in _CORPUS:
+        g, tm = build()
+        perm = list(range(g.dim))
+        rng.shuffle(perm)
+        for k in (1, 2):
+            yield extend_scalars(g, tm, k)
+            yield extend_scalars(*permute_basis(g, tm, perm), k)
+    for _label, build in vacuity_family():
+        yield build()
+
+
+def test_split_matches_enumeration():
+    # wherever the reference enumeration is affordable (k * dim h <= 16)
+    checked = refused = 0
+    for g, tm in _differential_cases():
+        t = maximal_torus(g, tm)
+        h = cartan_subalgebra(g, tm, t)
+        assert g.field.k * h.dim <= 16, g.name
+        want = _nil_rows(split_by_enumeration, g, tm, h, t)
+        assert _nil_rows(split_cartan, g, tm, h, t) == want, (g.name, g.field.k)
+        checked += 1
+        refused += want == "refused"
+    assert checked == 4 * len(_CORPUS) + 140 and refused == 4  # sl(2), twice at each k
+
+
+def test_split_past_the_enumeration_ceiling():
+    # k * dim h = 17 and 18: beyond a 2^16 enumeration of h
+    g, tm = graded({1: 1, 2: 1, 4: 1}, nil_dim=14)
+    t = maximal_torus(g, tm)
+    h = cartan_subalgebra(g, tm, t)
+    assert (g.dim, h.dim) == (20, 17)
+    t_sub, n_sub = split_cartan(g, tm, h, t)
+    assert n_sub.dim == 14 and t_sub.sum(n_sub) == h
+
+    g, tm = torus(18)
+    t = maximal_torus(g, tm)
+    t_sub, n_sub = split_cartan(g, tm, g.full_space(), t)
+    assert t_sub == g.full_space() and n_sub == Subspace.zero(F2, 18)
 
 
 # -- root decomposition -------------------------------------------------------------
