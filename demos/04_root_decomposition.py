@@ -6,7 +6,7 @@ dimension, the grading closes, and for rank 3 the root set lands on one
 of the eight canonical configurations after a dual basis change.
 """
 
-from lie2 import classify_delta, fixture, grading_check, is_standard, is_triangulable, maximal_torus, root_decomposition
+from lie2 import classify_delta, fixture, format_root, grading_check, is_standard, is_triangulable, maximal_torus, root_decomposition
 from lie2.fixtures import graded
 
 for name, build in [
@@ -20,7 +20,7 @@ for name, build in [
     g, tm = build()
     t = maximal_torus(g, tm)
     d = root_decomposition(g, tm, t)
-    dims = {repr(lam): d.roots[lam].dim for lam in d.root_list()}
+    dims = {format_root(lam, d.rank): d.roots[lam].dim for lam in d.root_list()}
     label = classify_delta(d).label if d.rank == 3 else "n/a"
     print(f"{g.name}: dim {g.dim} = cartan {d.cartan.dim} (nil {d.nil_part.dim}) "
           f"+ roots {sum(sp.dim for sp in d.roots.values())}")

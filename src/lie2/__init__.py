@@ -56,10 +56,9 @@ from .restricted import (
 from .roots import (
     DeltaClass,
     RootDecomposition,
-    RootFunctional,
-    cartan_subalgebra,
     classify_delta,
     extended_root,
+    format_root,
     grading_check,
     is_standard,
     is_triangulable,

@@ -52,7 +52,14 @@ from .errors import BudgetExceededError, ContradictionError, Lie2Error
 from .field import IRREDUCIBLE_POLY
 from .linalg import coeffs
 from .restricted import extend_scalars, verify_two_map
-from .roots import classify_delta, grading_check, is_standard, is_triangulable, root_decomposition
+from .roots import (
+    classify_delta,
+    format_root,
+    grading_check,
+    is_standard,
+    is_triangulable,
+    root_decomposition,
+)
 from .screening import (
     VERDICT_OUT_OF_SCOPE,
     VERDICT_PASSES,
@@ -111,7 +118,7 @@ def cmd_decompose(args) -> int:
     print(f"torus dim {t.dim}, cartan dim {d.cartan.dim}, nil dim {d.nil_part.dim}")
     print(f"roots ({len(d.roots)}):")
     for lam in d.root_list():
-        print(f"  {lam} dim {d.roots[lam].dim}")
+        print(f"  {format_root(lam, d.rank)} dim {d.roots[lam].dim}")
     if d.rank == 3:
         print(f"configuration: {classify_delta(d).label}")
     else:
@@ -162,7 +169,7 @@ def cmd_screen(args) -> int:
             f"verified={rep.verified_ideal} proper={rep.proper} nonzero={rep.nonzero}"
         )
     if res.unequal_pair:
-        a, b = res.unequal_pair
+        a, b = (format_root(lam, 3) for lam in res.unequal_pair)  # set on rank 3 only
         print(f"unequal root-space dimensions at {a} and {b}")
     return SCREEN_EXIT[res.verdict]
 
@@ -255,7 +262,8 @@ def _suite_fixture_checks(suite, name, g, tm):
                 continue
             res = dimension_transfer(g, tm, d, xi, eta)
             suite.check(
-                name, f"dimension-transfer:{xi}->{eta}", True,
+                name, f"dimension-transfer:{format_root(xi, d.rank)}->{format_root(eta, d.rank)}",
+                True,
                 res.status if res.status == "HypothesisNotMet"
                 else f"dims {res.dim_eta}={res.dim_xi_eta}",
             )
@@ -269,7 +277,7 @@ def _suite_fixture_checks(suite, name, g, tm):
         if cls.index is not None and is_triangulable(g, d):
             for xi in roots:
                 rep = self_bracket_bound(g, tm, d, xi)
-                suite.check(name, f"self-bracket-bound:{xi}", rep.confined,
+                suite.check(name, f"self-bracket-bound:{format_root(xi, d.rank)}", rep.confined,
                             f"slice dim {rep.slice_dim}")
         if centerless and cls.index == 0:
             rep = construct_ideal_rank3(g, tm, d)
@@ -305,7 +313,7 @@ def _suite_nsubspace_identity(suite, rng):
         delta = roots[rng.randrange(len(roots))]
         if sigma == delta:
             continue
-        if n_subspace(g, tm, d, sigma, delta) != n_subspace(g, tm, d, sigma, sigma + delta):
+        if n_subspace(g, tm, d, sigma, delta) != n_subspace(g, tm, d, sigma, sigma ^ delta):
             ok = False
             break
     suite.check("corpus", "n-subspace-identity", ok, f"{trials} seeded triples")

@@ -1,9 +1,13 @@
 """Root space decomposition relative to a torus, and its rank-3 taxonomy.
 
 Roots are computed only against bases of toral elements, where every
-eigenvalue lies in the prime field: each ad(t_i) is idempotent, hence the
-ambient space splits exactly into the simultaneous {0,1}-eigenspaces.  A
-root is therefore a {0,1}-vector of length r and root addition is xor.
+eigenvalue lies in the prime field: each ad(t_i) is an idempotent P, so
+every P-invariant space V splits as (1+P)V + PV, its 0- and 1-eigenspaces.
+:func:`root_decomposition` applies that split toral by toral to each joint
+eigenspace found so far; the parts' dimensions add up to dim g exactly
+when the basis is toral and commuting.  A root is therefore a {0,1}-vector
+of length r, held as an r-bit int whose bit i is its value on t_(i+1);
+root addition is xor, and :func:`format_root` prints a root as "(1,0,1)".
 
 For r = 3 the possible nonempty root sets containing three independent
 roots fall, up to an invertible change of the dual basis, into eight
@@ -25,50 +29,23 @@ from .algebra import (
     LieAlgebra,
     acts_nilpotently,
     bracket_span,
-    centralizer,
     derived_subalgebra,
 )
 from .errors import NonToralBasisError, PreconditionError, SplitFailureError
 from .field import gf
-from .linalg import Subspace, combine, kernel_of_map, rref_rows, solve, unit, vget
+from .linalg import Subspace, combine, kernel_of_map, rref_rows, solve, vget
 from .restricted import TwoMap, jcs_decompose, span_of_squares
 from .tori import Torus
 
 
 # ---------------------------------------------------------------------------
-# root functionals
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootFunctional:
-    """A {0,1}-valued functional on a toral basis."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if any(v not in (0, 1) for v in self.values):
-            raise ValueError("root values must lie in the prime field")
-
-    @classmethod
-    def from_int(cls, bits: int, r: int) -> "RootFunctional":
-        return cls(tuple((bits >> i) & 1 for i in range(r)))
-
-    def as_int(self) -> int:
-        return sum(v << i for i, v in enumerate(self.values))
-
-    def __add__(self, other: "RootFunctional") -> "RootFunctional":
-        return RootFunctional(tuple(a ^ b for a, b in zip(self.values, other.values)))
-
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
-    def __repr__(self):
-        return "(" + ",".join(map(str, self.values)) + ")"
-
-
-# ---------------------------------------------------------------------------
 # decomposition
 # ---------------------------------------------------------------------------
+
+def format_root(bits: int, r: int) -> str:
+    """A root as its values on t_1..t_r, e.g. "(1,0,1)"."""
+    return "(" + ",".join(str(bits >> i & 1) for i in range(r)) + ")"
+
 
 class RootDecomposition:
     """The grading g = t + n + sum of root spaces, relative to a torus."""
@@ -77,7 +54,7 @@ class RootDecomposition:
         self.torus = torus
         self.cartan = cartan
         self.nil_part = nil_part
-        self.roots = dict(roots_)  # RootFunctional -> Subspace, nonzero spaces only
+        self.roots = dict(roots_)  # root bits -> Subspace, nonzero spaces only
 
     @property
     def rank(self) -> int:
@@ -85,27 +62,22 @@ class RootDecomposition:
 
     def root_list(self):
         """Roots in ascending bit order; the iteration order everywhere."""
-        return sorted(self.roots, key=RootFunctional.as_int)
+        return sorted(self.roots)
 
-    def space(self, lam: RootFunctional) -> Subspace:
-        """g_lambda, with the zero functional mapped to the Cartan subalgebra."""
-        if lam.is_zero():
+    def space(self, lam: int) -> Subspace:
+        """g_lambda, with the zero root mapped to the Cartan subalgebra."""
+        if not lam:
             return self.cartan
         if lam in self.roots:
             return self.roots[lam]
         return Subspace.zero(self.cartan.field, self.cartan.ambient)
 
     def __repr__(self):
-        dims = {repr(l): s.dim for l, s in sorted(self.roots.items(), key=lambda kv: kv[0].as_int())}
+        dims = {format_root(lam, self.rank): self.roots[lam].dim for lam in self.root_list()}
         return (
             f"RootDecomposition(rank {self.rank}, dim h={self.cartan.dim} "
             f"(n={self.nil_part.dim}), roots {dims})"
         )
-
-
-def cartan_subalgebra(g: LieAlgebra, tm: TwoMap, t: Torus) -> Subspace:
-    """Centralizer of the torus (a Cartan subalgebra when t is maximal)."""
-    return centralizer(g, t.subspace)
 
 
 def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
@@ -135,7 +107,7 @@ def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
         if below.dim >= level.dim or not level.contains_space(below):
             raise SplitFailureError("2-nilpotent parts of h do not span a 2-nilpotent subspace")
         level = below
-    if t.subspace.intersect(n_sub).dim != 0 or t.subspace.sum(n_sub) != h:
+    if t.subspace.dim + n_sub.dim != h.dim or t.subspace.sum(n_sub) != h:
         raise SplitFailureError("2-nilpotent part does not complement the torus in h")
     if bracket_span(g, t.subspace, n_sub).dim != 0:
         raise SplitFailureError("torus does not commute with the 2-nilpotent part")
@@ -145,43 +117,44 @@ def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
 def root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition:
     """Simultaneous eigenspace decomposition for a toral basis.
 
-    Completeness (the dimensions summing to dim g) holds exactly when the
-    basis consists of commuting toral elements; a deficit raises
-    NonToralBasisError.
+    Each toral t_i acts by an idempotent P = ad t_i, so g = ker P + im P
+    with ker P = (1+P)g.  Starting from {0: g}, every joint eigenspace V
+    found so far is split by t_i into (1+P)V, which keeps its label, and
+    PV, which gains bit i; zero parts are dropped.  Each part is the span of
+    |V| brackets, so the whole split takes r * dim g brackets.
+
+    Completeness (the dimensions summing to dim g) stays an exact test.
+    For any P, (1+P)V + PV contains V, since v = (1+P)v + Pv, so the total
+    never falls below dim g.  It equals dim V exactly when V is P-invariant
+    and P is idempotent on V, as rank P + rank(1+P) = dim V holds only for
+    idempotents.  A basis that is not toral, or does not commute, therefore
+    overshoots at some toral and raises NonToralBasisError there; since
+    the total never shrinks, checking after each toral gives the verdict
+    of checking at the end.
     """
     f, n = g.field, g.dim
     basis = list(t.toral_basis)
-    r = len(basis)
     if len(rref_rows(f, basis)[0]) != t.subspace.dim:
         raise NonToralBasisError("toral basis does not span the torus")
-
-    eigen = []
-    for ti in basis:
-        cols0 = [g.bracket(ti, unit(f, j)) for j in range(n)]
-        e0 = kernel_of_map(f, n, cols0)
-        e1 = kernel_of_map(f, n, [c ^ unit(f, j) for j, c in enumerate(cols0)])
-        eigen.append((e0, e1))
-
-    # joint[bits]: the joint eigenspace on which t_i acts by bit i of bits,
-    # built level by level from the joint eigenspaces of the first i torals
-    joint = [Subspace.full(f, n)]
-    for i, pair in enumerate(eigen):
-        joint = list(pair) if i == 0 else [s.intersect(e) for e in pair for s in joint]
-
-    cartan = joint[0]
-    roots_ = {}
-    total = cartan.dim
-    for bits in range(1, 1 << r):
-        space = joint[bits]
-        if space.dim:
-            roots_[RootFunctional.from_int(bits, r)] = space
-            total += space.dim
-    if total != n:
-        raise NonToralBasisError(
-            f"eigenspace dimensions sum to {total} != {n}; basis is not toral"
-        )
+    spaces = {0: g.full_space()}  # root bits -> nonzero joint eigenspace
+    for i, ti in enumerate(basis):
+        split = {}
+        for bits, space in spaces.items():
+            images = [g.bracket(ti, v) for v in space.rows]
+            fixed = [v ^ w for v, w in zip(space.rows, images)]
+            for label, part in ((bits, fixed), (bits | 1 << i, images)):
+                sub = g.subspace(part)
+                if sub.dim:
+                    split[label] = sub
+        spaces = split
+        total = sum(sp.dim for sp in spaces.values())
+        if total != n:
+            raise NonToralBasisError(
+                f"eigenspace dimensions sum to {total} != {n}; basis is not toral"
+            )
+    cartan = spaces.pop(0)
     t_sub, n_sub = split_cartan(g, tm, cartan, t)
-    return RootDecomposition(t, cartan, n_sub, roots_)
+    return RootDecomposition(t, cartan, n_sub, spaces)
 
 
 # ---------------------------------------------------------------------------
@@ -189,28 +162,34 @@ def root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition
 # ---------------------------------------------------------------------------
 
 class GradingReport:
-    def __init__(self, violations):
+    def __init__(self, violations, rank):
         self.violations = violations  # [(lam, mu)] with [g_lam, g_mu] not in g_{lam+mu}
+        self.rank = rank
 
     @property
     def ok(self):
         return not self.violations
 
     def __repr__(self):
-        return "GradingReport(ok)" if self.ok else f"GradingReport({self.violations})"
+        if self.ok:
+            return "GradingReport(ok)"
+        pairs = ", ".join(
+            f"({format_root(lam, self.rank)}, {format_root(mu, self.rank)})"
+            for lam, mu in self.violations
+        )
+        return f"GradingReport([{pairs}])"
 
 
 def grading_check(g: LieAlgebra, d: RootDecomposition) -> GradingReport:
     """Verify [g_lam, g_mu] lies in g_{lam+mu} for all pairs, 0 included."""
-    zero = RootFunctional((0,) * d.rank)
-    labels = [zero] + d.root_list()
+    labels = [0] + d.root_list()
     violations = []
     for i, lam in enumerate(labels):
         for mu in labels[i:]:
             got = bracket_span(g, d.space(lam), d.space(mu))
-            if not d.space(lam + mu).contains_space(got):
+            if not d.space(lam ^ mu).contains_space(got):
                 violations.append((lam, mu))
-    return GradingReport(violations)
+    return GradingReport(violations, d.rank)
 
 
 def is_triangulable(g: LieAlgebra, d: RootDecomposition) -> bool:
@@ -234,7 +213,7 @@ class ExtendedRoot:
     part.
     """
 
-    def __init__(self, g: LieAlgebra, d: RootDecomposition, root: RootFunctional):
+    def __init__(self, g: LieAlgebra, d: RootDecomposition, root: int):
         self.root = root
         self._field = g.field
         self._ambient = g.dim
@@ -249,7 +228,7 @@ class ExtendedRoot:
             raise PreconditionError("vector outside the Cartan subalgebra")
         acc = 0
         for i in range(self._t_count):
-            if self.root.values[i]:
+            if self.root >> i & 1:
                 acc ^= vget(f, c, i)
         return acc
 
@@ -257,7 +236,7 @@ class ExtendedRoot:
         """{x in h : value(x) = 0} as a subspace of the ambient space."""
         f = self._field
         images = [
-            (self.root.values[i] if i < self._t_count else 0)
+            (self.root >> i & 1 if i < self._t_count else 0)
             for i in range(len(self._h_basis))
         ]
         ker_coords = kernel_of_map(f, len(self._h_basis), images)
@@ -265,11 +244,11 @@ class ExtendedRoot:
         return Subspace.from_vectors(f, self._ambient, rows)
 
 
-def extended_root(g: LieAlgebra, d: RootDecomposition, xi: RootFunctional) -> ExtendedRoot:
+def extended_root(g: LieAlgebra, d: RootDecomposition, xi: int) -> ExtendedRoot:
     return ExtendedRoot(g, d, xi)
 
 
-def square_span(g: LieAlgebra, tm: TwoMap, d: RootDecomposition, xi: RootFunctional) -> Subspace:
+def square_span(g: LieAlgebra, tm: TwoMap, d: RootDecomposition, xi: int) -> Subspace:
     """Span of all squares of g_xi elements.
 
     By the extension rule this equals the span of the basis squares plus
@@ -345,7 +324,7 @@ def classify_delta(d: RootDecomposition) -> DeltaClass:
     """
     if d.rank != 3:
         raise PreconditionError("configuration taxonomy requires a rank-3 torus")
-    observed = frozenset(lam.as_int() for lam in d.roots)
+    observed = frozenset(d.roots)
     card = len(observed)
     if card not in _CANDIDATES_BY_CARD:
         return DeltaClass("NonStandardBasis", None, None)

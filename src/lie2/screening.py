@@ -59,11 +59,11 @@ from .roots import (
     DELTA_SETS,
     DeltaClass,
     RootDecomposition,
-    RootFunctional,
     apply_gl3,
     canonical_toral_basis,
     classify_delta,
     extended_root,
+    format_root,
     gl3_matrices,
     is_triangulable,
     root_decomposition,
@@ -156,11 +156,8 @@ def _torus_slice(g, basis, masks) -> Subspace:
 
 
 def _roots_by_canonical(d: RootDecomposition, mat):
-    """Map canonical root int -> (observed functional, subspace)."""
-    out = {}
-    for lam, sp in d.roots.items():
-        out[apply_gl3(mat, lam.as_int())] = (lam, sp)
-    return out
+    """Map canonical root -> (observed root, subspace)."""
+    return {apply_gl3(mat, lam): (lam, sp) for lam, sp in d.roots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +177,7 @@ def check_dim_bound(g: LieAlgebra, tm: TwoMap, d: RootDecomposition) -> DimBound
     if center(g).dim != 0:
         raise PreconditionError("dimension bound applies to centerless algebras")
     r = d.rank
-    indep = len(rref_rows(gf(1), [lam.as_int() for lam in d.roots])[0])
+    indep = len(rref_rows(gf(1), list(d.roots))[0])
     ok = indep >= r and g.dim >= 2 * r
     return DimBoundReport(indep, r, g.dim, ok)
 
@@ -215,7 +212,7 @@ class DimensionTransfer:
     rank_back: int | None = None
 
 
-def dimension_transfer(g, tm, d, xi: RootFunctional, eta: RootFunctional) -> DimensionTransfer:
+def dimension_transfer(g, tm, d, xi: int, eta: int) -> DimensionTransfer:
     """If the squares of g_xi see eta, then dim g_eta = dim g_{xi+eta}.
 
     Returns HypothesisNotMet when every square of g_xi kills eta; otherwise
@@ -237,7 +234,7 @@ def dimension_transfer(g, tm, d, xi: RootFunctional, eta: RootFunctional) -> Dim
             break
     if witness is None:
         raise ContradictionError("square span escapes the kernel but no witness found")
-    target = d.space(xi + eta)
+    target = d.space(xi ^ eta)
     source = d.roots[eta]
     rank_into = len(rref_rows(g.field, [g.bracket(witness, y) for y in source.rows])[0])
     rank_back = len(rref_rows(g.field, [g.bracket(witness, y) for y in target.rows])[0])
@@ -261,31 +258,31 @@ class ConfinementReport:
         return self.confined and self.bound_dim_ok
 
 
-def kernel_confinement(g, tm, d, alpha1: RootFunctional, others) -> ConfinementReport:
+def kernel_confinement(g, tm, d, alpha1: int, others) -> ConfinementReport:
     """Squares of g_{alpha1} land in a torus slice of dim <= r - k plus n.
 
     Requires {alpha1} union others independent with
     dim g_{alpha_i} != dim g_{alpha1 + alpha_i} for each listed root.
     """
     roots_all = [alpha1] + list(others)
-    ints = [lam.as_int() for lam in roots_all]
-    if len(rref_rows(gf(1), ints)[0]) != len(ints):
+    if len(rref_rows(gf(1), roots_all)[0]) != len(roots_all):
         raise PreconditionError("roots must be linearly independent")
     if alpha1 not in d.roots:
         raise PreconditionError("alpha1 must be a root")
-    for lam in others:
-        if d.space(lam).dim == d.space(alpha1 + lam).dim:
-            raise PreconditionError(
-                f"need dim g_{lam} != dim g_{alpha1 + lam} for the confinement to be forced"
-            )
     f = g.field
     r = d.rank
+    for lam in others:
+        if d.space(lam).dim == d.space(alpha1 ^ lam).dim:
+            raise PreconditionError(
+                f"need dim g_{format_root(lam, r)} != dim g_{format_root(alpha1 ^ lam, r)} "
+                "for the confinement to be forced"
+            )
     # slice = {t in torus : alpha_i(t) = 0 for all i}, in toral-basis coordinates
     images = []
     for j in range(r):
         bits = 0
         for i, lam in enumerate(roots_all):
-            bits |= lam.values[j] << i
+            bits |= (lam >> j & 1) << i
         images.append(bits)
     coeff_kernel = kernel_of_map(f, r, images)
     rows = [combine(f, d.torus.toral_basis, cr) for cr in coeff_kernel.rows]
@@ -295,21 +292,21 @@ def kernel_confinement(g, tm, d, alpha1: RootFunctional, others) -> ConfinementR
     return ConfinementReport(confined, slice_sub.dim, slice_sub.dim <= r - len(roots_all), slice_sub)
 
 
-def self_bracket_bound(g, tm, d, xi: RootFunctional) -> ConfinementReport:
+def self_bracket_bound(g, tm, d, xi: int) -> ConfinementReport:
     """[g_xi, g_xi] sits inside a shape-dependent torus slice plus n.
 
     The slice depends on how xi reads in the canonical labelling: a basis
     root keeps the partner torals whose sum with xi is still a root, a sum
     of two basis roots keeps their difference direction (plus the third
-    toral if all seven roots occur... the full-sum root), and the full sum
-    keeps the two-dimensional slice killing it.
+    toral when the full sum is a root too), and the full sum keeps the
+    two-dimensional slice killing it.
     """
     cls = classify_delta(d)
     if cls.index is None:
         raise PreconditionError("root set does not match any canonical configuration")
     if xi not in d.roots:
         raise PreconditionError("xi must be a root")
-    mu = apply_gl3(cls.basis_change, xi.as_int())
+    mu = apply_gl3(cls.basis_change, xi)
     delta_set = DELTA_SETS[cls.index]
     s = canonical_toral_basis(d, cls)
     masks = []
@@ -334,7 +331,7 @@ def self_bracket_bound(g, tm, d, xi: RootFunctional) -> ConfinementReport:
 # the N(sigma, delta) building block
 # ---------------------------------------------------------------------------
 
-def n_subspace(g, tm, d, sigma: RootFunctional, delta: RootFunctional) -> Subspace:
+def n_subspace(g, tm, d, sigma: int, delta: int) -> Subspace:
     """{x in g_sigma : [x, g_sigma] in n and [[x, g_delta], g_{sigma+delta}] in n}.
 
     Both conditions are linear in x, so the result is one kernel
@@ -349,7 +346,7 @@ def n_subspace(g, tm, d, sigma: RootFunctional, delta: RootFunctional) -> Subspa
     f = g.field
     sp = d.roots[sigma]
     nil = d.nil_part
-    sum_space = d.space(sigma + delta)
+    sum_space = d.space(sigma ^ delta)
     delta_space = d.space(delta)
     images = []
     for x in sp.rows:
@@ -501,7 +498,7 @@ def construct_ideal_rank3(g, tm, d: RootDecomposition) -> IdealReport:
         raise PreconditionError("all seven roots must be present")
     if not is_triangulable(g, d):
         raise PreconditionError("Cartan subalgebra must be triangulable")
-    hit = dispatch({lam.as_int(): sp.dim for lam, sp in d.roots.items()})
+    hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
     if hit is None:
         return IdealReport(None, Subspace.zero(g.field, g.dim), False, True, False, None)
     return named_construction(g, tm, d, *hit)
@@ -629,7 +626,7 @@ def simplicity_screen(g: LieAlgebra, tm: TwoMap) -> ScreenResult:
             raise ContradictionError(f"missing-roots ideal failed verification: {rep}")
         return ScreenResult(VERDICT_WITNESS, ideal=rep, reason=f"configuration {cls.label}")
     # the preconditions of construct_ideal_rank3 all hold here, so fire directly
-    hit = dispatch({lam.as_int(): sp.dim for lam, sp in d.roots.items()})
+    hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
     if hit is not None:
         rep = named_construction(g, tm, d, *hit)
         if not (rep.verified_ideal and rep.proper and rep.nonzero):

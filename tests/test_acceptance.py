@@ -30,7 +30,6 @@ from lie2.fixtures import (
 )
 from lie2.restricted import jcs_decompose, is_semisimple, is_two_nilpotent, two_envelope, verify_two_map
 from lie2.roots import (
-    RootFunctional,
     classify_delta,
     grading_check,
     root_decomposition,
@@ -203,7 +202,7 @@ def test_criterion_8_n_subspace_identity():
         delta = roots[rng.randrange(len(roots))]
         if sigma == delta:
             continue
-        assert n_subspace(g, tm, d, sigma, delta) == n_subspace(g, tm, d, sigma, sigma + delta)
+        assert n_subspace(g, tm, d, sigma, delta) == n_subspace(g, tm, d, sigma, sigma ^ delta)
         checked += 1
     _verdict(8, True, "N(sigma,delta) = N(sigma,sigma+delta) on 100 randomized triples, exact")
 

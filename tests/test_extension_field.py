@@ -39,7 +39,7 @@ def test_f6_over_gf4_full_pipeline():
     t = maximal_torus(g, tm)
     assert t.dim == 3
     d = root_decomposition(g, tm, t)
-    assert {lam.as_int(): sp.dim for lam, sp in d.roots.items()} == {1: 1, 2: 1, 4: 1}
+    assert {lam: sp.dim for lam, sp in d.roots.items()} == {1: 1, 2: 1, 4: 1}
     assert classify_delta(d).label == "Delta1"
 
     res = simplicity_screen(g, tm)
