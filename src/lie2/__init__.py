@@ -48,7 +48,6 @@ from .restricted import (
     is_two_nilpotent,
     iterate_square,
     jcs_decompose,
-    jcs_decompose_brute,
     square,
     two_envelope,
     verify_two_map,
@@ -57,7 +56,6 @@ from .roots import (
     DeltaClass,
     RootDecomposition,
     classify_delta,
-    extended_root,
     format_root,
     grading_check,
     is_standard,
@@ -71,7 +69,6 @@ from .screening import (
     ScreenResult,
     SimplicityVerdict,
     check_dim_bound,
-    construct_ideal_rank3,
     dimension_transfer,
     is_simple,
     kernel_confinement,

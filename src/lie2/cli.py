@@ -15,7 +15,8 @@ Exit codes, for every subcommand:
     0     success; ``verify``: both axiom suites are clean; ``screen``:
           PassesNecessaryConditions; ``paper-suite``: every check passes
     1     ``verify``: an axiom fails; ``paper-suite``: a check fails
-    2     refused input: a malformed, unreadable or non-ASCII file, or a
+    2     refused input: a malformed, unreadable or non-ASCII file, a
+          ``paper-suite --fixtures`` path that is not a directory, or a
           refused budget (``rank`` reports a refused field degree and goes
           on, exiting 2 only when every degree is refused)
     3     a proved containment failed (ContradictionError): a defect in
@@ -48,7 +49,7 @@ from pathlib import Path
 
 from . import fileio, fixtures
 from .algebra import center, verify_lie
-from .errors import BudgetExceededError, ContradictionError, Lie2Error
+from .errors import BudgetExceededError, ContradictionError, FileFormatError, Lie2Error
 from .field import IRREDUCIBLE_POLY
 from .linalg import coeffs
 from .restricted import extend_scalars, verify_two_map
@@ -65,11 +66,12 @@ from .screening import (
     VERDICT_PASSES,
     VERDICT_WITNESS,
     check_dim_bound,
-    construct_ideal_rank3,
     dimension_transfer,
+    dispatch,
     is_simple,
     missing_roots_obstruction,
     n_subspace,
+    named_construction,
     one_dim_rootspace_ideal,
     self_bracket_bound,
     simplicity_screen,
@@ -270,31 +272,27 @@ def _suite_fixture_checks(suite, name, g, tm):
 
     if d.rank == 3:
         cls = classify_delta(d)
-        if cls.index is not None and cls.index != 0 and is_triangulable(g, d):
+        triangulable = cls.index is not None and is_triangulable(g, d)
+        if triangulable and cls.index != 0:
             obs = missing_roots_obstruction(g, tm, d)
             suite.check(name, "obstruction", obs.ok,
                         f"{obs.configuration} proj {obs.projection_dim} <= slice {obs.slice_dim}")
-        if cls.index is not None and is_triangulable(g, d):
+        if triangulable:
             for xi in roots:
                 rep = self_bracket_bound(g, tm, d, xi)
                 suite.check(name, f"self-bracket-bound:{format_root(xi, d.rank)}", rep.confined,
                             f"slice dim {rep.slice_dim}")
-        if centerless and cls.index == 0:
-            rep = construct_ideal_rank3(g, tm, d)
-            if rep.lemma is None:
-                dims_equal = len({sp.dim for sp in d.roots.values()}) == 1
-                suite.check(name, "rank3-construction", dims_equal, "equal dimensions, none fires")
+        if centerless and triangulable and cls.index == 0:
+            hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
+            if hit is None:  # all seven dimensions equal
+                suite.check(name, "rank3-construction", True, "equal dimensions, none fires")
             else:
-                suite.check(
-                    name, "rank3-construction",
-                    rep.verified_ideal and rep.proper and rep.nonzero,
-                    f"{rep.lemma} dim {rep.subspace.dim}",
-                )
+                rep = named_construction(g, tm, d, *hit)
+                suite.check(name, "rank3-construction", rep.ok,
+                            f"{rep.lemma} dim {rep.subspace.dim}")
         if centerless and all(sp.dim == 1 for sp in d.roots.values()) and d.roots:
             rep = one_dim_rootspace_ideal(g, tm, d)
-            suite.check(name, "one-dim-ideal",
-                        rep.verified_ideal and rep.proper and rep.nonzero,
-                        f"dim {rep.subspace.dim}")
+            suite.check(name, "one-dim-ideal", rep.ok, f"dim {rep.subspace.dim}")
 
 
 def _suite_nsubspace_identity(suite, rng):
@@ -320,23 +318,24 @@ def _suite_nsubspace_identity(suite, rng):
 
 
 def _suite_vacuity(suite):
+    """Screen each vacuity instance; each must get a witness and fail the oracle."""
     simple_hits = []
     witnessed = 0
     family = fixtures.vacuity_family()
     for label, build in family:
-        g, tm = build()
-        t = maximal_torus(g, tm)
-        d = root_decomposition(g, tm, t)
-        rep = construct_ideal_rank3(g, tm, d)
-        if rep.lemma is None:
-            rep = one_dim_rootspace_ideal(g, tm, d)
-        ok = rep.verified_ideal and rep.proper and rep.nonzero
-        verdict = is_simple(g, tm)
-        if verdict.simple:
+        try:
+            g, tm = build()
+            # the screen raises rather than return a witness whose ideal fails
+            ok = simplicity_screen(g, tm).verdict == VERDICT_WITNESS
+            simple = is_simple(g, tm).simple
+        except Lie2Error as exc:
+            suite.check("vacuity", label, False, str(exc))
+            continue
+        if simple:
             simple_hits.append(label)
         if ok:
             witnessed += 1
-        if not ok or verdict.simple:
+        if not ok or simple:
             suite.check("vacuity", label, False, "missing witness or simple")
     suite.check(
         "vacuity", "family",
@@ -346,6 +345,8 @@ def _suite_vacuity(suite):
 
 
 def cmd_paper_suite(args) -> int:
+    if args.fixtures and not Path(args.fixtures).is_dir():
+        raise FileFormatError(None, "Unreadable", f"--fixtures {args.fixtures}: not a directory")
     suite = _Suite()
     rng = random.Random(args.seed)
     for name, build in _suite_corpus():

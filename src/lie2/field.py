@@ -119,50 +119,3 @@ def gf(k: int) -> GF2k:
     """Shared field context of degree ``k``."""
     return GF2k(k)
 
-
-def poly_is_irreducible(p: int, k: int) -> bool:
-    """Rabin irreducibility test for a degree-``k`` binary polynomial.
-
-    Independent of the table above; used by the test suite to certify it.
-    """
-    if p.bit_length() - 1 != k:
-        return False
-    if k == 1:
-        return True  # both degree-1 binary polynomials are irreducible
-
-    def mulmod(a, b):
-        r = 0
-        while b:
-            if b & 1:
-                r ^= a
-            b >>= 1
-            a <<= 1
-            if (a >> k) & 1:
-                a ^= p
-        return r
-
-    def gcd_poly(a, b):
-        while b:
-            while a and a.bit_length() >= b.bit_length():
-                a ^= b << (a.bit_length() - b.bit_length())
-            a, b = b, a
-        return a
-
-    def frob_iter(times):
-        cur = 2  # the polynomial x
-        for _ in range(times):
-            cur = mulmod(cur, cur)
-        return cur
-
-    if frob_iter(k) != 2:
-        return False
-    n, q, primes = k, 2, []
-    while q * q <= n:
-        if n % q == 0:
-            primes.append(q)
-            while n % q == 0:
-                n //= q
-        q += 1
-    if n > 1:
-        primes.append(n)
-    return all(gcd_poly(frob_iter(k // q) ^ 2, p) == 1 for q in primes)

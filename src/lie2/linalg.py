@@ -234,16 +234,6 @@ class Matrix:
         f = self.field
         return vector(f, (self.entry(i, j) for i in range(self.nrows)))
 
-    def apply(self, v: int) -> int:
-        """Matrix-vector product M*v for a packed length-ncols vector."""
-        f = self.field
-        acc = 0
-        for j in support(f, v):
-            c = vget(f, v, j)
-            col = self.column(j)
-            acc ^= col if c == 1 else vscale(f, col, c)
-        return acc
-
     def matmul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise AmbientMismatchError("matmul shape mismatch")

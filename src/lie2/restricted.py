@@ -256,25 +256,3 @@ def extend_scalars(g: LieAlgebra, tm: TwoMap, k: int):
     g2 = LieAlgebra(f2, g.dim, table, g.name)
     return g2, TwoMap([spread(x) for x in tm.images])
 
-
-def jcs_decompose_brute(g: LieAlgebra, tm: TwoMap, x: int):
-    """Brute-force fallback: search the envelope of x for the unique split.
-
-    Exponential in the envelope dimension; intended as an independent
-    cross-check at desk scale.
-    """
-    env = two_envelope(g, tm, x)
-    hits = []
-    for xs in env.vectors():
-        xn = x ^ xs
-        if (
-            g.bracket(xs, xn) == 0
-            and is_semisimple(g, tm, xs)
-            and is_two_nilpotent(g, tm, xn)
-        ):
-            hits.append((xs, xn))
-    if len(hits) != 1:
-        raise PreconditionError(
-            f"expected exactly one decomposition inside the envelope, found {len(hits)}"
-        )
-    return hits[0]

@@ -33,7 +33,7 @@ from .algebra import (
 )
 from .errors import NonToralBasisError, PreconditionError, SplitFailureError
 from .field import gf
-from .linalg import Subspace, combine, kernel_of_map, rref_rows, solve, vget
+from .linalg import Subspace, combine, kernel_of_map, rref_rows, vector
 from .restricted import TwoMap, jcs_decompose, span_of_squares
 from .tori import Torus
 
@@ -203,49 +203,23 @@ def is_standard(g: LieAlgebra, d: RootDecomposition) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# functional extension and squares of root spaces
+# torus slices and squares of root spaces
 # ---------------------------------------------------------------------------
 
-class ExtendedRoot:
-    """A root extended to a functional on the Cartan subalgebra.
+def vanishing_slice(g: LieAlgebra, d: RootDecomposition, roots) -> Subspace:
+    """The torus slice {t in the torus : lam(t) = 0 for every lam in roots}.
 
-    Agrees with the root on the toral basis and vanishes on the nilpotent
-    part.
+    A root's value on the toral basis vector t_(j+1) is its bit j, so the
+    slice is the kernel of the map sending t_(j+1) to those values, one
+    coordinate per root, read back through the toral basis.  A root
+    extended to h by zero on n therefore vanishes exactly on the slice
+    plus n, which is how every confinement "lies in a torus slice plus n"
+    is tested.
     """
-
-    def __init__(self, g: LieAlgebra, d: RootDecomposition, root: int):
-        self.root = root
-        self._field = g.field
-        self._ambient = g.dim
-        self._h_basis = list(d.torus.toral_basis) + list(d.nil_part.rows)
-        self._t_count = len(d.torus.toral_basis)
-
-    def value(self, x: int) -> int:
-        """The functional at x, which must lie in the Cartan subalgebra."""
-        f = self._field
-        c = solve(f, self._h_basis, x)
-        if c is None:
-            raise PreconditionError("vector outside the Cartan subalgebra")
-        acc = 0
-        for i in range(self._t_count):
-            if self.root >> i & 1:
-                acc ^= vget(f, c, i)
-        return acc
-
-    def kernel(self) -> Subspace:
-        """{x in h : value(x) = 0} as a subspace of the ambient space."""
-        f = self._field
-        images = [
-            (self.root >> i & 1 if i < self._t_count else 0)
-            for i in range(len(self._h_basis))
-        ]
-        ker_coords = kernel_of_map(f, len(self._h_basis), images)
-        rows = [combine(f, self._h_basis, cr) for cr in ker_coords.rows]
-        return Subspace.from_vectors(f, self._ambient, rows)
-
-
-def extended_root(g: LieAlgebra, d: RootDecomposition, xi: int) -> ExtendedRoot:
-    return ExtendedRoot(g, d, xi)
+    f = g.field
+    images = [vector(f, [lam >> j & 1 for lam in roots]) for j in range(d.rank)]
+    coords = kernel_of_map(f, d.rank, images)
+    return g.subspace([combine(f, d.torus.toral_basis, c) for c in coords.rows])
 
 
 def square_span(g: LieAlgebra, tm: TwoMap, d: RootDecomposition, xi: int) -> Subspace:

@@ -7,9 +7,10 @@ proper ideals.  The central facts, each realized as a checkable operation:
   (:func:`check_dim_bound`);
 * if all root spaces are one-dimensional, the nilpotent part plus the root
   spaces form an ideal (:func:`one_dim_rootspace_ideal`);
-* if the squares of g_xi do not vanish under the extended functional eta,
-  then g_eta and g_{xi+eta} have equal dimension and ad of a witness maps
-  either injectively into the other (:func:`dimension_transfer`);
+* if the squares of g_xi do not all lie in slice(eta) + n, slice(eta)
+  being the part of the torus that eta kills, then g_eta and g_{xi+eta}
+  have equal dimension and ad of a witness maps either injectively into
+  the other (:func:`dimension_transfer`);
 * squares of a root space are confined to a small torus slice plus the
   nilpotent part once enough dimension inequalities hold
   (:func:`kernel_confinement`, :func:`self_bracket_bound`);
@@ -17,20 +18,22 @@ proper ideals.  The central facts, each realized as a checkable operation:
   an explicit construction yields a proper nonzero ideal: the pure
   :func:`dispatch` picks one of seven from the order pattern of the
   dimensions through the stage table ``_STAGES``, and
-  :func:`construct_ideal_rank3` builds it (the eighth,
-  AlphaGammaGtBetaGamma, never fires first and is reached only through
-  :func:`named_construction`);
-* with fewer than seven roots, the torus projections of all self-brackets
-  land in an explicit subspace of dimension at most two, so the Cartan
-  subalgebra cannot be recovered from them and a proper ideal exists
+  :func:`named_construction` builds it (the eighth,
+  AlphaGammaGtBetaGamma, never fires first and is reached only by naming
+  it);
+* with fewer than seven roots, all self-brackets lie in an explicit torus
+  slice of dimension at most two plus n, so the Cartan subalgebra cannot
+  be recovered from them and a proper ideal exists
   (:func:`missing_roots_obstruction`);
 * therefore a simple rank-3 algebra with triangulable Cartan subalgebra
   must have all seven root spaces of equal dimension, which pushes its
   dimension past 16 (:func:`simplicity_screen`, a necessary-condition
   screen that never claims simplicity).
 
-Every produced IdealReport re-verifies its subspace from scratch (ideal
-property, properness, nonzeroness), and :func:`is_simple` gives the
+Every "lies in a torus slice plus n" above is one containment test of
+``slice.sum(d.nil_part)``.  Every produced IdealReport re-verifies its
+subspace from scratch (ideal property, properness, nonzeroness;
+:attr:`IdealReport.ok` is all three), and :func:`is_simple` gives the
 independent brute-force verdict by spinning every 1-dimensional generator.
 It stops a spin as soon as the spin reaches an earlier generator: that
 generator's closure is already known to be the whole algebra, and a proper
@@ -53,7 +56,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
 from .field import gf
-from .linalg import Subspace, combine, kernel_of_map, pivot_index, rref_rows, solve, vget
+from .linalg import Subspace, combine, kernel_of_map, pivot_index, rref_rows, vget
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
@@ -62,12 +65,12 @@ from .roots import (
     apply_gl3,
     canonical_toral_basis,
     classify_delta,
-    extended_root,
     format_root,
     gl3_matrices,
     is_triangulable,
     root_decomposition,
     square_span,
+    vanishing_slice,
 )
 from .tori import maximal_torus
 
@@ -102,6 +105,10 @@ class IdealReport:
     nonzero: bool
     basis_change: tuple | None = None
 
+    @property
+    def ok(self):
+        return self.verified_ideal and self.proper and self.nonzero
+
     def __repr__(self):
         flags = []
         if self.verified_ideal:
@@ -129,22 +136,6 @@ def _ideal_report(g: LieAlgebra, lemma, subspace, basis_change=None) -> IdealRep
 # ---------------------------------------------------------------------------
 # decomposition bookkeeping
 # ---------------------------------------------------------------------------
-
-def _h_coordinates(g, d, v):
-    """Coordinates of v in the basis (toral basis | nil basis) of h."""
-    basis = list(d.torus.toral_basis) + list(d.nil_part.rows)
-    c = solve(g.field, basis, v)
-    if c is None:
-        raise PreconditionError("vector does not lie in the Cartan subalgebra")
-    return c
-
-
-def _torus_projection(g, d, vectors):
-    """Span of the t-components (along n) of vectors lying in h."""
-    # the toral basis comes first in h, so combine reads only its coordinates
-    rows = [combine(g.field, d.torus.toral_basis, _h_coordinates(g, d, v)) for v in vectors]
-    return Subspace.from_vectors(g.field, g.dim, rows)
-
 
 def _torus_slice(g, basis, masks) -> Subspace:
     """Subspace of t spanned by combinations of a toral basis (s1, s2, s3).
@@ -215,25 +206,25 @@ class DimensionTransfer:
 def dimension_transfer(g, tm, d, xi: int, eta: int) -> DimensionTransfer:
     """If the squares of g_xi see eta, then dim g_eta = dim g_{xi+eta}.
 
-    Returns HypothesisNotMet when every square of g_xi kills eta; otherwise
-    exhibits a witness x with eta(x^[2]) != 0 and the two injective
-    restrictions of ad(x).  An inequality of dimensions under the met
-    hypothesis falsifies the theory and raises ContradictionError.
+    The squares of g_xi lie in h = t + n, and eta extended to h by zero on
+    n vanishes exactly on slice(eta) + n, where slice(eta) is the part of
+    the torus that eta kills.  Returns HypothesisNotMet when the square
+    span lies in slice(eta) + n; otherwise exhibits as witness the first
+    basis vector or sum of two whose square lies outside it, and the two
+    injective restrictions of ad(x).  An inequality of dimensions under
+    the met hypothesis falsifies the theory and raises ContradictionError.
     """
     if xi not in d.roots or eta not in d.roots:
         raise PreconditionError("both functionals must be roots")
-    er = extended_root(g, d, eta)
-    if er.kernel().contains_space(square_span(g, tm, d, xi)):
+    bound = vanishing_slice(g, d, [eta]).sum(d.nil_part)
+    if bound.contains_space(square_span(g, tm, d, xi)):
         return DimensionTransfer("HypothesisNotMet")
-    witness = None
     sp = d.roots[xi]
+    # x^[2] is additive up to [a, b], so these squares span the square span
     candidates = list(sp.rows) + [a ^ b for a, b in combinations(sp.rows, 2)]
-    for x in candidates:
-        if er.value(square(g, tm, x)):
-            witness = x
-            break
+    witness = next((x for x in candidates if not bound.contains(square(g, tm, x))), None)
     if witness is None:
-        raise ContradictionError("square span escapes the kernel but no witness found")
+        raise ContradictionError("square span escapes slice(eta) + n but no witness found")
     target = d.space(xi ^ eta)
     source = d.roots[eta]
     rank_into = len(rref_rows(g.field, [g.bracket(witness, y) for y in source.rows])[0])
@@ -269,7 +260,6 @@ def kernel_confinement(g, tm, d, alpha1: int, others) -> ConfinementReport:
         raise PreconditionError("roots must be linearly independent")
     if alpha1 not in d.roots:
         raise PreconditionError("alpha1 must be a root")
-    f = g.field
     r = d.rank
     for lam in others:
         if d.space(lam).dim == d.space(alpha1 ^ lam).dim:
@@ -277,18 +267,8 @@ def kernel_confinement(g, tm, d, alpha1: int, others) -> ConfinementReport:
                 f"need dim g_{format_root(lam, r)} != dim g_{format_root(alpha1 ^ lam, r)} "
                 "for the confinement to be forced"
             )
-    # slice = {t in torus : alpha_i(t) = 0 for all i}, in toral-basis coordinates
-    images = []
-    for j in range(r):
-        bits = 0
-        for i, lam in enumerate(roots_all):
-            bits |= (lam >> j & 1) << i
-        images.append(bits)
-    coeff_kernel = kernel_of_map(f, r, images)
-    rows = [combine(f, d.torus.toral_basis, cr) for cr in coeff_kernel.rows]
-    slice_sub = Subspace.from_vectors(f, g.dim, rows)
-    bound = slice_sub.sum(d.nil_part)
-    confined = bound.contains_space(square_span(g, tm, d, alpha1))
+    slice_sub = vanishing_slice(g, d, roots_all)
+    confined = slice_sub.sum(d.nil_part).contains_space(square_span(g, tm, d, alpha1))
     return ConfinementReport(confined, slice_sub.dim, slice_sub.dim <= r - len(roots_all), slice_sub)
 
 
@@ -322,9 +302,9 @@ def self_bracket_bound(g, tm, d, xi: int) -> ConfinementReport:
         if 7 in delta_set:
             masks.append(7 ^ mu)
     slice_sub = _torus_slice(g, s, masks)
-    bound = slice_sub.sum(d.nil_part)
     got = bracket_span(g, d.roots[xi], d.roots[xi])
-    return ConfinementReport(bound.contains_space(got), slice_sub.dim, True, slice_sub)
+    return ConfinementReport(slice_sub.sum(d.nil_part).contains_space(got), slice_sub.dim, True,
+                             slice_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -481,29 +461,6 @@ def dispatch(dims):
     return None
 
 
-def construct_ideal_rank3(g, tm, d: RootDecomposition) -> IdealReport:
-    """The rank-3 construction that the root-space dimensions fire.
-
-    Requires a centerless algebra with a rank-3 triangulable torus and all
-    seven roots.  :func:`dispatch` picks the construction and relabelling
-    from the dimensions alone, and :func:`named_construction` builds it; the
-    returned subspace is re-verified from scratch.  Equal dimensions
-    everywhere yield lemma None and the zero subspace.
-    """
-    if center(g).dim != 0:
-        raise PreconditionError("rank-3 constructions require a centerless algebra")
-    if d.rank != 3:
-        raise PreconditionError("rank-3 constructions require a rank-3 torus")
-    if classify_delta(d).index != 0:
-        raise PreconditionError("all seven roots must be present")
-    if not is_triangulable(g, d):
-        raise PreconditionError("Cartan subalgebra must be triangulable")
-    hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
-    if hit is None:
-        return IdealReport(None, Subspace.zero(g.field, g.dim), False, True, False, None)
-    return named_construction(g, tm, d, *hit)
-
-
 # ---------------------------------------------------------------------------
 # missing-roots obstruction (fewer than seven roots)
 # ---------------------------------------------------------------------------
@@ -534,13 +491,18 @@ class ObstructionReport:
 
 
 def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
-    """Torus projections of all self-brackets fit in the tabulated slice.
+    """All self-brackets [g_lam, g_lam] lie in the tabulated slice plus n.
 
     Applies to configurations with three to six roots (indices 1..7).  The
     slice has dimension at most two while the torus has dimension three,
     which obstructs simplicity: the Cartan subalgebra cannot equal the sum
     of the self-brackets.  Containment failure on a verified triangulable
     input contradicts the theory and is surfaced via ok=False.
+
+    The self-brackets span a subspace S of h = t + n, and the projection
+    of h onto t along n has kernel n, so the torus projection of S has
+    dimension dim(S + n) - dim n; it lies in the slice exactly when S lies
+    in slice + n.
     """
     cls = classify_delta(d)
     if cls.index is None or cls.index == 0:
@@ -549,14 +511,13 @@ def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
         raise PreconditionError("obstruction requires a triangulable Cartan subalgebra")
     s = canonical_toral_basis(d, cls)
     slice_sub = _torus_slice(g, s, _OBSTRUCTION_SLICES[cls.index])
-    projections = []
-    for lam, sp in d.roots.items():
-        got = bracket_span(g, sp, sp)
-        projections.extend(_torus_projection(g, d, got.rows).rows)
-    proj = Subspace.from_vectors(g.field, g.dim, projections)
-    contained = slice_sub.contains_space(proj)
+    got = g.subspace([v for sp in d.roots.values() for v in bracket_span(g, sp, sp).rows])
     return ObstructionReport(
-        cls.label, contained, proj.dim, slice_sub.dim, slice_sub.dim < d.rank
+        cls.label,
+        slice_sub.sum(d.nil_part).contains_space(got),
+        got.sum(d.nil_part).dim - d.nil_part.dim,
+        slice_sub.dim,
+        slice_sub.dim < d.rank,
     )
 
 
@@ -599,10 +560,7 @@ def simplicity_screen(g: LieAlgebra, tm: TwoMap) -> ScreenResult:
     if z.dim:
         if z.dim == g.dim:
             return ScreenResult(VERDICT_OUT_OF_SCOPE, reason="abelian algebra")
-        rep = _ideal_report(g, LEMMA_CENTER, z)
-        if not (rep.verified_ideal and rep.proper and rep.nonzero):
-            raise ContradictionError("center failed to verify as a proper nonzero ideal")
-        return ScreenResult(VERDICT_WITNESS, ideal=rep, reason="nonzero center")
+        return _witness(_ideal_report(g, LEMMA_CENTER, z), "nonzero center")
     try:
         t = maximal_torus(g, tm)
     except BudgetExceededError as exc:
@@ -621,30 +579,25 @@ def simplicity_screen(g: LieAlgebra, tm: TwoMap) -> ScreenResult:
         obs = missing_roots_obstruction(g, tm, d)
         if not obs.ok:
             raise ContradictionError(f"obstruction containment failed: {obs}")
-        rep = missing_roots_ideal(g, tm, d)
-        if not (rep.verified_ideal and rep.proper and rep.nonzero):
-            raise ContradictionError(f"missing-roots ideal failed verification: {rep}")
-        return ScreenResult(VERDICT_WITNESS, ideal=rep, reason=f"configuration {cls.label}")
-    # the preconditions of construct_ideal_rank3 all hold here, so fire directly
+        return _witness(missing_roots_ideal(g, tm, d), f"configuration {cls.label}")
     hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
     if hit is not None:
         rep = named_construction(g, tm, d, *hit)
-        if not (rep.verified_ideal and rep.proper and rep.nonzero):
-            raise ContradictionError(f"rank-3 construction failed verification: {rep}")
-        pair = _first_unequal_pair(d)
-        return ScreenResult(
-            VERDICT_WITNESS, ideal=rep, reason=f"construction {rep.lemma}", unequal_pair=pair
-        )
+        return _witness(rep, f"construction {rep.lemma}", _first_unequal_pair(d))
     common = next(iter(sp.dim for sp in d.roots.values()))
     if common == 1:
-        rep = one_dim_rootspace_ideal(g, tm, d)
-        if not (rep.verified_ideal and rep.proper and rep.nonzero):
-            raise ContradictionError(f"one-dimensional construction failed verification: {rep}")
-        return ScreenResult(VERDICT_WITNESS, ideal=rep, reason="all root spaces one-dimensional")
+        return _witness(one_dim_rootspace_ideal(g, tm, d), "all root spaces one-dimensional")
     return ScreenResult(
         VERDICT_PASSES,
         reason=f"all seven root spaces of dimension {common}, dim(g) = {g.dim}",
     )
+
+
+def _witness(rep: IdealReport, reason: str, unequal_pair=None) -> ScreenResult:
+    """A NotSimpleWitness on a constructed ideal, which is proved to verify."""
+    if not rep.ok:
+        raise ContradictionError(f"{rep.lemma} ideal failed verification: {rep}")
+    return ScreenResult(VERDICT_WITNESS, ideal=rep, reason=reason, unequal_pair=unequal_pair)
 
 
 def _first_unequal_pair(d: RootDecomposition):

@@ -36,7 +36,6 @@ from lie2.roots import (
 )
 from lie2.screening import (
     VERDICT_WITNESS,
-    construct_ideal_rank3,
     is_simple,
     missing_roots_obstruction,
     n_subspace,

@@ -455,6 +455,21 @@ def test_cli_paper_suite_with_fixture_dir(files, tmp_path, capsys):
     assert "SUMMARY" in out and "failures=0" in out
 
 
+def test_cli_paper_suite_refuses_a_fixtures_path_that_is_not_a_directory(files, tmp_path, capsys):
+    # a missing directory or a file path used to glob nothing and report a clean suite
+    for path in (tmp_path / "missing", files["f6"]):
+        assert main(["paper-suite", "--fixtures", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: Unreadable: --fixtures {path}: not a directory\n"
+        assert not captured.out
+    proc = subprocess.run(
+        [sys.executable, "-m", "lie2.cli", "paper-suite", "--fixtures", str(tmp_path / "missing")],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2 and not proc.stdout
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+
+
 def test_cli_entrypoint_subprocess(files):
     proc = subprocess.run(
         [sys.executable, "-m", "lie2.cli", "screen", files["f6"]],

@@ -25,7 +25,6 @@ from lie2.restricted import (
     is_two_nilpotent,
     iterate_square,
     jcs_decompose,
-    jcs_decompose_brute,
     span_of_squares,
     square,
     two_envelope,
@@ -292,7 +291,6 @@ def test_split_exhaustive_against_oracle(build):
         assert is_semisimple(g, tm, xs)
         assert is_two_nilpotent(g, tm, xn)
         assert (xs, xn) == brute_split(g, tm, x)
-        assert (xs, xn) == jcs_decompose_brute(g, tm, x)
 
 
 def test_split_unique_on_small_algebras():

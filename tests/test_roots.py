@@ -24,14 +24,13 @@ from lie2.fixtures import (
     vacuity_family,
     witt,
 )
-from lie2.linalg import Subspace, kernel_of_map, unit
+from lie2.linalg import Subspace, combine, kernel_of_map, unit, vget
 from lie2.restricted import extend_scalars, is_two_nilpotent
 from lie2.roots import (
     DELTA_SETS,
     apply_gl3,
     canonical_toral_basis,
     classify_delta,
-    extended_root,
     gl3_matrices,
     grading_check,
     is_standard,
@@ -39,6 +38,7 @@ from lie2.roots import (
     root_decomposition,
     split_cartan,
     square_span,
+    vanishing_slice,
 )
 from lie2.tori import Torus, maximal_torus
 
@@ -305,23 +305,7 @@ def test_triangulable_and_standard_on_fixtures():
         assert is_standard(g, d), g.name
 
 
-# -- extended functionals and square spans ----------------------------------------------
-
-def test_extended_root_values_and_kernel():
-    g, tm, d = decomposition(f6n)
-    alpha = 1
-    er = extended_root(g, d, alpha)
-    t1, z = unit(F2, 0), unit(F2, 3)
-    assert er.value(t1) == 1
-    assert er.value(z) == 0           # vanishes on the nil part
-    assert er.value(t1 ^ z) == 1
-    ker = er.kernel()
-    assert ker.dim == d.cartan.dim - 1
-    assert ker.contains(z)
-    assert not ker.contains(t1)
-    with pytest.raises(PreconditionError):
-        er.value(unit(F2, 4))  # root vector, outside the Cartan subalgebra
-
+# -- torus slices and square spans ----------------------------------------------
 
 def test_square_span_examples():
     g, tm, d = decomposition(lambda: gl(2))
@@ -334,15 +318,35 @@ def test_square_span_examples():
 
 
 def test_square_span_confined_by_extended_kernel():
-    # [g_xi, g_xi] inside span of squares inside ker(extended xi)
+    # [g_xi, g_xi] inside span of squares inside ker(extended xi) = slice(xi) + n
     for build in (f6, f7, u1, u2, delta2):
         g, tm, d = decomposition(build)
         for lam in d.roots:
             ssp = square_span(g, tm, d, lam)
-            from lie2.algebra import bracket_span
-
             assert ssp.contains_space(bracket_span(g, d.roots[lam], d.roots[lam]))
-            assert extended_root(g, d, lam).kernel().contains_space(ssp), (g.name, lam)
+            bound = vanishing_slice(g, d, [lam]).sum(d.nil_part)
+            assert bound.contains_space(ssp), (g.name, lam)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_vanishing_slice_is_the_common_kernel(k):
+    # oracle: every combination of the toral basis that each root kills
+    g, tm, d = decomposition(extend_scalars(*u1(), k))
+    f, r = g.field, d.rank
+
+    def value(lam, c):  # lam(sum c_j t_j), as lam(t_j) is bit j of lam
+        acc = 0
+        for j in range(r):
+            if lam >> j & 1:
+                acc ^= vget(f, c, j)
+        return acc
+
+    for roots in ([], [1], [1, 2], [3, 5], [1, 2, 4]):
+        kept = {
+            combine(f, d.torus.toral_basis, c) for c in range(1 << (f.k * r))
+            if all(value(lam, c) == 0 for lam in roots)
+        }
+        assert set(vanishing_slice(g, d, roots).vectors()) == kept, roots
 
 
 # -- configuration taxonomy ----------------------------------------------------------------

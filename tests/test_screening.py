@@ -6,10 +6,12 @@ brute-force simplicity oracle; the two routes must never disagree.
 """
 
 import random
+from itertools import combinations
 
 import pytest
 
-from lie2.algebra import abelian, center, ideal_closure, is_ideal
+from lie2.algebra import abelian, bracket_span, center, ideal_closure, is_ideal
+from lie2.cli import _suite_corpus
 from lie2.errors import BudgetExceededError, PreconditionError
 from lie2.field import gf
 from lie2.fixtures import (
@@ -30,10 +32,20 @@ from lie2.fixtures import (
     vacuity_family,
     witt,
 )
-from lie2.linalg import pivot_index, unit, vget
-from lie2.restricted import TwoMap, extend_scalars
-from lie2.roots import Torus, grading_check, root_decomposition
+from lie2.linalg import Subspace, combine, kernel_of_map, pivot_index, solve, unit, vget
+from lie2.restricted import TwoMap, extend_scalars, square
+from lie2.roots import (
+    DELTA_SETS,
+    Torus,
+    canonical_toral_basis,
+    classify_delta,
+    grading_check,
+    is_triangulable,
+    root_decomposition,
+    square_span,
+)
 from lie2.screening import (
+    _OBSTRUCTION_SLICES,
     LEMMA_AB_GT_AG,
     LEMMA_ABG_GT_AG,
     LEMMA_AG_GT_BG,
@@ -46,9 +58,11 @@ from lie2.screening import (
     VERDICT_OUT_OF_SCOPE,
     VERDICT_PASSES,
     VERDICT_WITNESS,
+    DimensionTransfer,
+    ObstructionReport,
     check_dim_bound,
-    construct_ideal_rank3,
     dimension_transfer,
+    dispatch,
     is_simple,
     kernel_confinement,
     missing_roots_ideal,
@@ -59,7 +73,7 @@ from lie2.screening import (
     self_bracket_bound,
     simplicity_screen,
 )
-from lie2.tori import maximal_torus
+from lie2.tori import TORAL_ENUM_BITS, maximal_torus
 
 F2 = gf(1)
 
@@ -72,7 +86,7 @@ def decomposition(build):
 
 def assert_sound(g, rep):
     """The soundness contract of every ideal report."""
-    assert rep.verified_ideal and rep.proper and rep.nonzero
+    assert rep.ok
     assert is_ideal(g, rep.subspace)
     assert ideal_closure(g, rep.subspace) == rep.subspace
     assert 0 < rep.subspace.dim < g.dim
@@ -170,13 +184,20 @@ def test_corrupted_tensor_caught_by_grading_first():
 
 # -- confinement -----------------------------------------------------------------------
 
-def test_kernel_confinement_u1():
-    g, tm, d = decomposition(u1)
-    alpha, beta = 1, 2
-    # dim g_alpha = 2 differs from dim g_{beta+alpha} = 1, so squares of
-    # g_beta are confined to ker(alpha) & ker(beta) plus the nil part
-    rep = kernel_confinement(g, tm, d, beta, [alpha])
-    assert rep.ok and rep.slice_dim <= 1
+@pytest.mark.parametrize("k", [1, 2])
+def test_kernel_confinement_u1(k):
+    # wherever dim g_alpha != dim g_{alpha1+alpha}, squares of g_alpha1 are
+    # confined to ker(alpha1) & ker(alpha), a line at every field degree, plus n
+    g, tm, d = decomposition(extend_scalars(*u1(), k))
+    checked = 0
+    for alpha1 in d.root_list():
+        for alpha in d.root_list():
+            if alpha == alpha1 or d.space(alpha).dim == d.space(alpha1 ^ alpha).dim:
+                continue
+            rep = kernel_confinement(g, tm, d, alpha1, [alpha])
+            assert (rep.slice_dim, rep.ok) == (1, True), (alpha1, alpha)
+            checked += 1
+    assert checked == 12
 
 
 def test_kernel_confinement_requires_unequal_dims():
@@ -197,6 +218,127 @@ def test_self_bracket_bounds_hold():
         g, tm, d = decomposition(build)
         for xi in d.root_list():
             assert self_bracket_bound(g, tm, d, xi).confined, (g.name, xi)
+
+
+# -- the slice + n test against the coordinate route ------------------------------------
+#
+# dimension_transfer and missing_roots_obstruction test "lies in a torus slice
+# plus n" as one subspace containment.  The references below take an
+# independent route through coordinates in the basis (toral basis | nil basis)
+# of h: a root extended to h by zero on n, and the torus projection of each
+# self-bracket.
+
+def h_coordinates(g, d, v):
+    """Coordinates of v in the basis (toral basis | nil basis) of h."""
+    c = solve(g.field, list(d.torus.toral_basis) + list(d.nil_part.rows), v)
+    assert c is not None, "vector outside the Cartan subalgebra"
+    return c
+
+
+def extended_root_value(g, d, root, x):
+    """The root extended to h by zero on n, at x in h."""
+    c = h_coordinates(g, d, x)
+    acc = 0
+    for i in range(d.rank):
+        if root >> i & 1:
+            acc ^= vget(g.field, c, i)
+    return acc
+
+
+def extended_root_kernel(g, d, root):
+    """{x in h : the extended root vanishes at x}."""
+    f = g.field
+    h_basis = list(d.torus.toral_basis) + list(d.nil_part.rows)
+    images = [root >> i & 1 if i < d.rank else 0 for i in range(len(h_basis))]
+    coords = kernel_of_map(f, len(h_basis), images)
+    return Subspace.from_vectors(f, g.dim, [combine(f, h_basis, c) for c in coords.rows])
+
+
+def torus_projection(g, d, vectors):
+    """Span of the t-components (along n) of vectors lying in h."""
+    rows = [combine(g.field, d.torus.toral_basis, h_coordinates(g, d, v)) for v in vectors]
+    return Subspace.from_vectors(g.field, g.dim, rows)
+
+
+def reference_transfer(g, tm, d, xi, eta):
+    if extended_root_kernel(g, d, eta).contains_space(square_span(g, tm, d, xi)):
+        return DimensionTransfer("HypothesisNotMet")
+    sp = d.roots[xi]
+    candidates = list(sp.rows) + [a ^ b for a, b in combinations(sp.rows, 2)]
+    witness = next(x for x in candidates if extended_root_value(g, d, eta, square(g, tm, x)))
+    source, target = d.roots[eta], d.space(xi ^ eta)
+
+    def rank(space):
+        return g.subspace([g.bracket(witness, y) for y in space.rows]).dim
+
+    return DimensionTransfer("DimsEqual", witness, source.dim, target.dim,
+                             rank(source), rank(target))
+
+
+def reference_obstruction(g, d):
+    cls = classify_delta(d)
+    s = canonical_toral_basis(d, cls)
+    # the masks select GF(2) combinations of s1, s2, s3, so they pack over F2
+    slice_sub = g.subspace([combine(F2, s, m) for m in _OBSTRUCTION_SLICES[cls.index]])
+    projections = []
+    for sp in d.roots.values():
+        projections.extend(torus_projection(g, d, bracket_span(g, sp, sp).rows).rows)
+    proj = Subspace.from_vectors(g.field, g.dim, projections)
+    return ObstructionReport(cls.label, slice_sub.contains_space(proj), proj.dim, slice_sub.dim,
+                             slice_sub.dim < d.rank)
+
+
+# the seven missing-root screen patterns: configuration index -> root-space dims
+SCREEN_DELTA_DIMS = {1: (3, 3, 1), 2: (2, 2, 2, 2), 3: (3, 2, 2, 1), 4: (2, 2, 2, 2, 1),
+                     5: (3, 2, 2, 1, 1), 6: (2, 2, 2, 2, 1, 1), 7: (3, 2, 2, 1, 1, 1)}
+
+
+def _slice_cases():
+    """The corpus and one seeded relabelling of each, at k = 1 and 2 where the
+    toral budget allows, then the seven missing-root patterns and delta2fat."""
+    cases = []
+    for seed, (name, build) in enumerate(_suite_corpus()):
+        g, tm = build()
+        perm = list(range(g.dim))
+        random.Random(seed).shuffle(perm)
+        for k in (1, 2):
+            if k * g.dim <= TORAL_ENUM_BITS:
+                cases.append((f"{name}/k{k}", extend_scalars(g, tm, k)))
+                cases.append((f"{name}_perm/k{k}", extend_scalars(*permute_basis(g, tm, perm), k)))
+    for idx, dims in SCREEN_DELTA_DIMS.items():
+        order = sorted(DELTA_SETS[idx], key=(1, 2, 4, 3, 5, 6, 7).index)
+        cases.append((f"delta{idx}", graded(dict(zip(order, dims)))))
+    cases.append(("delta2fat", delta2fat()))
+    return cases
+
+
+@pytest.fixture(scope="module")
+def slice_cases():
+    return [(name, *decomposition(alg)) for name, alg in _slice_cases()]
+
+
+def test_dimension_transfer_matches_the_extended_root(slice_cases):
+    pairs = fired = 0
+    for name, g, tm, d in slice_cases:
+        for xi in d.root_list():
+            for eta in d.root_list():
+                if xi != eta:
+                    got = dimension_transfer(g, tm, d, xi, eta)
+                    assert got == reference_transfer(g, tm, d, xi, eta), (name, xi, eta)
+                    pairs += 1
+                    fired += got.status == "DimsEqual"
+    assert (pairs, fired) == (714, 50)
+
+
+def test_obstruction_matches_the_torus_projection(slice_cases):
+    checked = set()
+    for name, g, tm, d in slice_cases:
+        if d.rank != 3 or classify_delta(d).index in (None, 0) or not is_triangulable(g, d):
+            continue
+        got = missing_roots_obstruction(g, tm, d)
+        assert got == reference_obstruction(g, d), name
+        checked.add(got.configuration)
+    assert checked == {"Delta1", "Delta2", "Delta3", "Delta4", "Delta6"}
 
 
 # -- N(sigma, delta) ----------------------------------------------------------------------
@@ -263,10 +405,16 @@ DISPATCH_CASES = [
 ]
 
 
+def fire(g, tm, d):
+    """The construction the root-space dimensions fire, as the screen builds it."""
+    hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
+    return None if hit is None else named_construction(g, tm, d, *hit)
+
+
 @pytest.mark.parametrize("dims,lemma,ideal_dim", DISPATCH_CASES)
 def test_construction_dispatch(dims, lemma, ideal_dim):
     g, tm, d = decomposition(lambda: delta0(dims))
-    rep = construct_ideal_rank3(g, tm, d)
+    rep = fire(g, tm, d)
     assert rep.lemma == lemma
     assert rep.subspace.dim == ideal_dim
     assert_sound(g, rep)
@@ -274,13 +422,12 @@ def test_construction_dispatch(dims, lemma, ideal_dim):
 
 def test_construction_equal_dims_returns_none():
     g, tm, d = decomposition(f7)
-    rep = construct_ideal_rank3(g, tm, d)
-    assert rep.lemma is None and not rep.nonzero
+    assert fire(g, tm, d) is None
 
 
 def test_construction_u1_documented_example():
     g, tm, d = decomposition(u1)
-    rep = construct_ideal_rank3(g, tm, d)
+    rep = fire(g, tm, d)
     assert rep.lemma == LEMMA_ALPHA_GT_BETA
     assert rep.subspace.dim == 10  # torus slice (2) + all root spaces (8)
     assert_sound(g, rep)
@@ -288,7 +435,7 @@ def test_construction_u1_documented_example():
 
 def test_construction_u2_fires_n_construction():
     g, tm, d = decomposition(u2)
-    rep = construct_ideal_rank3(g, tm, d)
+    rep = fire(g, tm, d)
     assert rep.lemma == LEMMA_AB_GT_AG
     assert rep.subspace.dim == 12
     assert_sound(g, rep)
@@ -296,18 +443,6 @@ def test_construction_u2_fires_n_construction():
     alpha = 1
     beta = 2
     assert n_subspace(g, tm, d, alpha, beta).dim == 2
-
-
-def test_construction_requires_seven_roots():
-    g, tm, d = decomposition(f6)
-    with pytest.raises(PreconditionError):
-        construct_ideal_rank3(g, tm, d)
-
-
-def test_construction_requires_centerless():
-    g, tm, d = decomposition(f6n)
-    with pytest.raises(PreconditionError):
-        construct_ideal_rank3(g, tm, d)
 
 
 def test_named_construction_last_pattern_direct():
@@ -335,8 +470,8 @@ def test_dispatch_covers_random_patterns():
             continue
         trials += 1
         g, tm, d = decomposition(lambda dd=dims: delta0(dd))
-        rep = construct_ideal_rank3(g, tm, d)
-        assert rep.lemma is not None, dims
+        rep = fire(g, tm, d)
+        assert rep is not None, dims
         assert_sound(g, rep)
         seen_lemmas.add(rep.lemma)
     assert len(seen_lemmas) >= 4  # the sample exercises several stages
@@ -346,7 +481,7 @@ def test_dispatch_determinism_under_relabelling():
     mats = [(1, 2, 4), (2, 1, 4), (4, 2, 1), (2, 4, 1), (3, 1, 4), (1, 6, 4)]
     for build in (u1, u2, lambda: delta0((2, 2, 1, 2, 1, 1, 2))):
         g, tm, d = decomposition(build)
-        base = construct_ideal_rank3(g, tm, d)
+        base = fire(g, tm, d)
         for mat in mats:
             s = [0, 0, 0]
             for j, row in enumerate(mat):
@@ -354,7 +489,7 @@ def test_dispatch_determinism_under_relabelling():
                     if (row >> i) & 1:
                         s[j] ^= d.torus.toral_basis[i]
             d2 = root_decomposition(g, tm, Torus(d.torus.subspace, tuple(s)))
-            rep = construct_ideal_rank3(g, tm, d2)
+            rep = fire(g, tm, d2)
             assert rep.subspace.dim == base.subspace.dim
             assert (rep.verified_ideal, rep.proper, rep.nonzero) == (
                 base.verified_ideal, base.proper, base.nonzero,
