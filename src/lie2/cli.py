@@ -106,7 +106,8 @@ def cmd_verify(args) -> int:
     else:
         print(f"algebra {g.name}: dim {g.dim} over {g.field}")
         print(f"lie axioms: {'ok' if lie.ok else lie}")
-        print(f"2-map axioms: {'ok' if two.ok else two}")
+        adjoint = ", ".join(f"({_fmt_vec(g, v)}, {j})" for v, j in two.adjoint_violations)
+        print(f"2-map axioms: {'ok' if two.ok else f'TwoMapReport(adjoint=[{adjoint}])'}")
     return 0 if ok else 1
 
 

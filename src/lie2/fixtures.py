@@ -126,18 +126,15 @@ def torus(r: int, k: int = 1):
 
 
 def f6():
-    b = _GradedBuilder({1: 1, 2: 1, 4: 1}, name="f6")
-    return b.build()
+    return graded({1: 1, 2: 1, 4: 1}, name="f6")
 
 
 def f6n():
-    b = _GradedBuilder({1: 1, 2: 1, 4: 1}, nil_dim=1, name="f6n")
-    return b.build()
+    return graded({1: 1, 2: 1, 4: 1}, nil_dim=1, name="f6n")
 
 
 def f7():
-    b = _GradedBuilder({lam: 1 for lam in ROOT_ORDER}, name="f7")
-    return b.build()
+    return graded({lam: 1 for lam in ROOT_ORDER}, name="f7")
 
 
 def delta2():
@@ -176,9 +173,8 @@ def delta0(dims, name=None):
     """All seven roots with prescribed dimensions and trivial cross brackets."""
     if len(dims) != 7 or any(d < 1 for d in dims):
         raise FixtureError("delta0 needs seven positive root-space dimensions")
-    b = _GradedBuilder({lam: dims[lam - 1] for lam in ROOT_ORDER},
-                       name=name or "delta0_" + "".join(map(str, dims)))
-    return b.build()
+    return graded({lam: dims[lam - 1] for lam in ROOT_ORDER},
+                  name=name or "delta0_" + "".join(map(str, dims)))
 
 
 def rank2sq():

@@ -8,9 +8,15 @@ vectors of GF(2^k)^n is ``range(1 << (n*k))``.  For k = 1 this degenerates
 to the classic bit-packed-row representation where a row operation is one
 word-wise xor.
 
-All elimination runs through one loop, :func:`_reduce`, over a dict from
-pivot (lowest nonzero coordinate) to row.  :func:`rref_rows` adds a
-back-substitution for the canonical form.  :func:`kernel_of_map`,
+Elimination runs through two loops.  :func:`_reduce`, over a dict from
+pivot (lowest nonzero coordinate) to row, reduces only the lowest
+coordinate of a row until it is no pivot: enough to grow an echelon and to
+test membership (the residual is 0 exactly on the span), but the residual
+is not canonical.  :func:`reduce_vector` clears every pivot coordinate
+against rows in reduced echelon form, so two vectors differing by an
+element of the span get the same residue; :meth:`Subspace.reduce` gives
+that canonical coset representative, and :func:`rref_rows` uses it for
+its back-substitution.  :func:`kernel_of_map`,
 :func:`solve` and :meth:`Subspace.intersect` (Zassenhaus) put a tag block
 above the image.  :func:`lie2.algebra.spin` and the spans of iterated
 squares and toral elements grow an echelon one vector at a time.
@@ -108,8 +114,9 @@ def _reduce(field: GF2k, echelon: dict, row: int, limit: int | None = None) -> i
     pivot and stored, unless its pivot lies at or above ``limit``; the
     residual is returned either way (scaled only if stored).
 
-    This is the one elimination loop of the package.  Augmented elimination
-    needs no second loop: a row that carries a tag above coordinate
+    This is the package's elimination loop; only canonical residues need
+    the second, :func:`reduce_vector`.  Augmented elimination needs no
+    other loop: a row that carries a tag above coordinate
     ``limit`` has a residual with zero image part exactly when the residual
     has run into the tag, and such a residual is not stored.  ``limit=0``
     stores nothing, which reduces a vector against a fixed echelon.

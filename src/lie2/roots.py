@@ -9,21 +9,29 @@ when the basis is toral and commuting.  A root is therefore a {0,1}-vector
 of length r, held as an r-bit int whose bit i is its value on t_(i+1);
 root addition is xor, and :func:`format_root` prints a root as "(1,0,1)".
 
-For r = 3 the possible nonempty root sets containing three independent
-roots fall, up to an invertible change of the dual basis, into eight
-configurations Delta0..Delta7 (Delta0 has all seven nonzero functionals,
-Delta1 only the three basis roots).  :func:`classify_delta` identifies the
-configuration by exhaustive orbit search over the 168 elements of
-GL(3, GF(2)); candidate configurations are tried in ascending index and
-matrices in lexicographic order, so the result is deterministic.  Note the
-five-root and six-root configurations each form a single orbit, so the
-classifier resolves those overlaps to the lower index (Delta4, Delta6).
+A torus slice is the part of the torus where some roots vanish:
+:func:`vanishing_slice` gives it for any list of roots.
+
+For r = 3 the root sets containing three independent roots fall, up to an
+invertible change of the dual basis, into the paper's eight configurations
+Delta0..Delta7 (Delta0 has all seven nonzero functionals, Delta1 only the
+three basis roots).  The relabelling is one table, :func:`relabellings`:
+for each of the 168 elements of GL(3, GF(2)), the observed root that it
+sends to each canonical root.  :func:`classify_delta` reads it, trying
+candidate configurations in ascending index and matrices in lexicographic
+order, so the result is deterministic; the screen reads it to name each of
+its torus slices by the canonical roots that vanish there.  The five-root
+sets form a single orbit, and so do the six-root sets, so Delta5 and
+Delta7 are never returned: the classifier gives six labels, Delta0..Delta4
+and Delta6, or NonStandardBasis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
+from types import MappingProxyType
 
 from .algebra import (
     LieAlgebra,
@@ -32,7 +40,6 @@ from .algebra import (
     derived_subalgebra,
 )
 from .errors import NonToralBasisError, PreconditionError, SplitFailureError
-from .field import gf
 from .linalg import Subspace, combine, kernel_of_map, rref_rows, vector
 from .restricted import TwoMap, jcs_decompose, span_of_squares
 from .tori import Torus
@@ -235,7 +242,7 @@ def square_span(g: LieAlgebra, tm: TwoMap, d: RootDecomposition, xi: int) -> Sub
 # rank-3 configuration taxonomy
 # ---------------------------------------------------------------------------
 
-# roots as 3-bit ints, bit i = value on t_{i+1}
+# roots as 3-bit ints, bit i = value on t_{i+1}; the paper's eight configurations
 DELTA_SETS = {
     0: frozenset({1, 2, 3, 4, 5, 6, 7}),
     1: frozenset({1, 2, 4}),
@@ -247,27 +254,9 @@ DELTA_SETS = {
     7: frozenset({1, 2, 4, 3, 5, 7}),
 }
 
-_CANDIDATES_BY_CARD = {3: (1,), 4: (2, 3), 5: (4, 5), 6: (6, 7), 7: (0,)}
-
-
-@lru_cache(maxsize=1)
-def gl3_matrices():
-    """All invertible 3x3 matrices over GF(2), lexicographic by rows.
-
-    A matrix is a tuple of three 3-bit row ints; the identity (1, 2, 4)
-    happens to be the lexicographically first element.
-    """
-    out = []
-    for r0 in range(1, 8):
-        for r1 in range(1, 8):
-            if r1 == r0:
-                continue
-            for r2 in range(1, 8):
-                if r2 in (r0, r1, r0 ^ r1):
-                    continue
-                out.append((r0, r1, r2))
-    out.sort()
-    return tuple(out)
+# the labels tried per root count; Delta5 and Delta7 share the orbits of
+# Delta4 and Delta6, which are tried first, so they are never returned
+_CANDIDATES_BY_CARD = {3: (1,), 4: (2, 3), 5: (4,), 6: (6,), 7: (0,)}
 
 
 def apply_gl3(mat, bits: int) -> int:
@@ -278,12 +267,34 @@ def apply_gl3(mat, bits: int) -> int:
     return out
 
 
+@lru_cache(maxsize=1)
+def relabellings():
+    """The preimage table of every GL(3, GF(2)) matrix, lexicographic by rows.
+
+    A matrix A is a tuple of three 3-bit row ints, the identity (1, 2, 4)
+    first.  Row i names the toral s_(i+1), the sum of the t_(j+1) over its
+    set bits j, and A sends a root to its values on s_1, s_2, s_3: the
+    canonical root.  The read-only table maps A to ``pre``, where
+    ``pre[mu]`` is the observed root that A sends to canonical mu
+    (``pre[0] = 0``), so the canonical roots ``killed`` vanish on the
+    torus slice ``vanishing_slice(g, d, [pre[mu] for mu in killed])``.
+    """
+    table = {}
+    for mat in product(range(1, 8), repeat=3):
+        pre = [0] * 8
+        for lam in range(1, 8):
+            pre[apply_gl3(mat, lam)] = lam
+        if 0 not in pre[1:]:  # onto the seven nonzero roots: A is invertible
+            table[mat] = tuple(pre)
+    return MappingProxyType(table)
+
+
 @dataclass(frozen=True)
 class DeltaClass:
     """Configuration label plus the dual-basis change realizing it."""
 
-    label: str           # "Delta0".."Delta7" or "NonStandardBasis"
-    index: int | None    # 0..7, None for NonStandardBasis
+    label: str           # "Delta0".."Delta4", "Delta6" or "NonStandardBasis"
+    index: int | None    # key of DELTA_SETS, None for NonStandardBasis
     basis_change: tuple | None  # GL(3, GF(2)) matrix A with A(observed) = canonical
 
     def __repr__(self):
@@ -299,24 +310,9 @@ def classify_delta(d: RootDecomposition) -> DeltaClass:
     if d.rank != 3:
         raise PreconditionError("configuration taxonomy requires a rank-3 torus")
     observed = frozenset(d.roots)
-    card = len(observed)
-    if card not in _CANDIDATES_BY_CARD:
-        return DeltaClass("NonStandardBasis", None, None)
-    for idx in _CANDIDATES_BY_CARD[card]:
-        target = DELTA_SETS[idx]
-        for mat in gl3_matrices():
-            if frozenset(apply_gl3(mat, b) for b in observed) == target:
+    for idx in _CANDIDATES_BY_CARD.get(len(observed), ()):
+        for mat, pre in relabellings().items():
+            # |target| = |observed| and pre is injective, so A(observed) = target
+            if all(pre[mu] in observed for mu in DELTA_SETS[idx]):
                 return DeltaClass(f"Delta{idx}", idx, mat)
     return DeltaClass("NonStandardBasis", None, None)
-
-
-def canonical_toral_basis(d: RootDecomposition, cls: DeltaClass):
-    """Toral basis (s_1, s_2, s_3) in which the root set reads canonically.
-
-    Row j of the basis change selects which original toral basis vectors
-    are summed into s_j; each s_j is again toral because the torus is
-    abelian and spanned by torals over the prime field.
-    """
-    if cls.basis_change is None:
-        raise PreconditionError("no basis change available for this class")
-    return [combine(gf(1), d.torus.toral_basis, row) for row in cls.basis_change]

@@ -11,9 +11,9 @@ proper ideals.  The central facts, each realized as a checkable operation:
   being the part of the torus that eta kills, then g_eta and g_{xi+eta}
   have equal dimension and ad of a witness maps either injectively into
   the other (:func:`dimension_transfer`);
-* squares of a root space are confined to a small torus slice plus the
-  nilpotent part once enough dimension inequalities hold
-  (:func:`kernel_confinement`, :func:`self_bracket_bound`);
+* squares of a root space are confined to the torus slice where certain
+  roots vanish, plus the nilpotent part, once enough dimension
+  inequalities hold (:func:`kernel_confinement`, :func:`self_bracket_bound`);
 * with all seven roots present and two root-space dimensions different,
   an explicit construction yields a proper nonzero ideal: the pure
   :func:`dispatch` picks one of seven from the order pattern of the
@@ -21,30 +21,36 @@ proper ideals.  The central facts, each realized as a checkable operation:
   :func:`named_construction` builds it (the eighth,
   AlphaGammaGtBetaGamma, never fires first and is reached only by naming
   it);
-* with fewer than seven roots, all self-brackets lie in an explicit torus
-  slice of dimension at most two plus n, so the Cartan subalgebra cannot
-  be recovered from them and a proper ideal exists
+* with fewer than seven roots, all self-brackets lie in the torus slice
+  where one canonical root, or all three basis roots, vanish, plus n; that
+  slice has dimension at most two, so the Cartan subalgebra cannot be
+  recovered from them and a proper ideal exists
   (:func:`missing_roots_obstruction`);
 * therefore a simple rank-3 algebra with triangulable Cartan subalgebra
   must have all seven root spaces of equal dimension, which pushes its
   dimension past 16 (:func:`simplicity_screen`, a necessary-condition
   screen that never claims simplicity).
 
-Every "lies in a torus slice plus n" above is one containment test of
-``slice.sum(d.nil_part)``.  Every produced IdealReport re-verifies its
-subspace from scratch (ideal property, properness, nonzeroness;
-:attr:`IdealReport.ok` is all three), and :func:`is_simple` gives the
-independent brute-force verdict by spinning every 1-dimensional generator.
-It stops a spin as soon as the spin reaches an earlier generator: that
-generator's closure is already known to be the whole algebra, and a proper
-closure never contains one, so the verdict, the closure count and the
-counterexample are those of spinning every closure in full.
+Every torus slice above is the set of torus elements on which a list of
+roots vanishes, :func:`lie2.roots.vanishing_slice`.  The constructions,
+the obstruction and :func:`self_bracket_bound` list those roots in the
+canonical labelling and read the observed roots off the preimage table
+:func:`lie2.roots.relabellings`.  Every "lies in a torus slice plus n" is
+one containment test of ``slice.sum(d.nil_part)``.
+
+Every produced IdealReport re-verifies its subspace from scratch (ideal
+property, properness, nonzeroness; :attr:`IdealReport.ok` is all three),
+and :func:`is_simple` gives the independent brute-force verdict by
+spinning every 1-dimensional generator.  It stops a spin as soon as the
+spin reaches an earlier generator: that generator's closure is already
+known to be the whole algebra, and a proper closure never contains one,
+so the verdict, the closure count and the counterexample are those of
+spinning every closure in full.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations
 
 from .algebra import (
@@ -60,14 +66,11 @@ from .linalg import Subspace, combine, kernel_of_map, pivot_index, rref_rows, vg
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
-    DeltaClass,
     RootDecomposition,
-    apply_gl3,
-    canonical_toral_basis,
     classify_delta,
     format_root,
-    gl3_matrices,
     is_triangulable,
+    relabellings,
     root_decomposition,
     square_span,
     vanishing_slice,
@@ -131,24 +134,6 @@ def _ideal_report(g: LieAlgebra, lemma, subspace, basis_change=None) -> IdealRep
         subspace.dim > 0,
         basis_change,
     )
-
-
-# ---------------------------------------------------------------------------
-# decomposition bookkeeping
-# ---------------------------------------------------------------------------
-
-def _torus_slice(g, basis, masks) -> Subspace:
-    """Subspace of t spanned by combinations of a toral basis (s1, s2, s3).
-
-    ``masks`` are 3-bit masks over the basis, bit j selecting s_(j+1).
-    """
-    f1 = gf(1)
-    return Subspace.from_vectors(g.field, g.dim, [combine(f1, basis, m) for m in masks])
-
-
-def _roots_by_canonical(d: RootDecomposition, mat):
-    """Map canonical root -> (observed root, subspace)."""
-    return {apply_gl3(mat, lam): (lam, sp) for lam, sp in d.roots.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -273,35 +258,23 @@ def kernel_confinement(g, tm, d, alpha1: int, others) -> ConfinementReport:
 
 
 def self_bracket_bound(g, tm, d, xi: int) -> ConfinementReport:
-    """[g_xi, g_xi] sits inside a shape-dependent torus slice plus n.
+    """[g_xi, g_xi] lies in the torus slice where some canonical roots vanish, plus n.
 
-    The slice depends on how xi reads in the canonical labelling: a basis
-    root keeps the partner torals whose sum with xi is still a root, a sum
-    of two basis roots keeps their difference direction (plus the third
-    toral when the full sum is a root too), and the full sum keeps the
-    two-dimensional slice killing it.
+    Read xi as the canonical root mu.  For mu = alpha+beta+gamma the slice
+    is where mu vanishes.  Otherwise mu vanishes there, and so does every
+    basis root sigma != mu for which sigma + mu is not in the configuration.
     """
     cls = classify_delta(d)
     if cls.index is None:
         raise PreconditionError("root set does not match any canonical configuration")
     if xi not in d.roots:
         raise PreconditionError("xi must be a root")
-    mu = apply_gl3(cls.basis_change, xi)
-    delta_set = DELTA_SETS[cls.index]
-    s = canonical_toral_basis(d, cls)
-    masks = []
-    if mu in (1, 2, 4):
-        for j in range(3):
-            sigma = 1 << j
-            if (sigma ^ mu) in delta_set:
-                masks.append(sigma)
-    elif mu == 7:
-        masks = [0b101, 0b110]  # s1+s3, s2+s3
-    else:
-        masks = [mu]  # s_rho + s_omega for mu = rho + omega
-        if 7 in delta_set:
-            masks.append(7 ^ mu)
-    slice_sub = _torus_slice(g, s, masks)
+    pre = relabellings()[cls.basis_change]
+    mu = pre.index(xi)
+    killed = [mu]
+    if mu != 7:
+        killed += [s for s in (1, 2, 4) if s != mu and s ^ mu not in DELTA_SETS[cls.index]]
+    slice_sub = vanishing_slice(g, d, [pre[m] for m in killed])
     got = bracket_span(g, d.roots[xi], d.roots[xi])
     return ConfinementReport(slice_sub.sum(d.nil_part).contains_space(got), slice_sub.dim, True,
                              slice_sub)
@@ -352,19 +325,20 @@ def n_subspace(g, tm, d, sigma: int, delta: int) -> Subspace:
 
 _ALL_ROOTS = (1, 2, 3, 4, 5, 6, 7)
 
-# Each construction, read in the canonical labelling (s1, s2, s3) of the
-# torus and of the roots: the torus slice it keeps (3-bit masks over the s_j),
-# the N(sigma, delta) blocks it takes, and the root spaces it takes whole.
-# Every construction also takes the 2-nilpotent part n of the Cartan subalgebra.
+# Each construction, read in the canonical labelling of the roots: the canonical
+# roots that vanish on the torus slice it keeps (all three basis roots for the
+# zero slice), the N(sigma, delta) blocks it takes, and the root spaces it takes
+# whole.  Every construction also takes the 2-nilpotent part n of the Cartan
+# subalgebra.
 _CONSTRUCTIONS = {
-    LEMMA_ALPHA_GT_BETA: ((0b010, 0b100), (), _ALL_ROOTS),      # s2, s3
-    LEMMA_BETA_GT_XI: ((0b100, 0b011), (), _ALL_ROOTS),         # s3, s1+s2
-    LEMMA_BG_GT_ABG: ((0b011, 0b101), (), _ALL_ROOTS),          # s1+s2, s1+s3
-    LEMMA_AG_GT_EQ: ((0b010, 0b100), (), _ALL_ROOTS),           # s2, s3
-    LEMMA_GAMMA_GT_XI: ((0b011, 0b101), (), _ALL_ROOTS),        # s1+s2, s1+s3
-    LEMMA_AG_GT_BG: ((0b001, 0b110), (), _ALL_ROOTS),           # s1, s2+s3
-    LEMMA_AB_GT_AG: ((), ((1, 2), (2, 1), (3, 1)), (4, 5, 6, 7)),
-    LEMMA_ABG_GT_AG: ((), ((3, 5), (5, 6), (6, 3)), (1, 2, 4, 7)),
+    LEMMA_ALPHA_GT_BETA: ((1,), (), _ALL_ROOTS),
+    LEMMA_BETA_GT_XI: ((3,), (), _ALL_ROOTS),
+    LEMMA_BG_GT_ABG: ((7,), (), _ALL_ROOTS),
+    LEMMA_AG_GT_EQ: ((1,), (), _ALL_ROOTS),
+    LEMMA_GAMMA_GT_XI: ((7,), (), _ALL_ROOTS),
+    LEMMA_AG_GT_BG: ((6,), (), _ALL_ROOTS),
+    LEMMA_AB_GT_AG: ((1, 2, 4), ((1, 2), (2, 1), (3, 1)), (4, 5, 6, 7)),
+    LEMMA_ABG_GT_AG: ((1, 2, 4), ((3, 5), (5, 6), (6, 3)), (1, 2, 4, 7)),
 }
 
 
@@ -375,18 +349,22 @@ def named_construction(g, tm, d: RootDecomposition, lemma: str, mat) -> IdealRep
     under which the construction's dimension hypothesis is meant to hold;
     the caller is responsible for that hypothesis.  The report's flags are
     recomputed from scratch either way, so a misapplied construction simply
-    comes back with verified_ideal=False.
+    comes back with verified_ideal=False.  A decomposition without all
+    seven roots of a rank-3 torus raises PreconditionError.
     """
     if lemma not in _CONSTRUCTIONS:
         raise PreconditionError(f"unknown construction label {lemma!r}")
-    masks, blocks, whole = _CONSTRUCTIONS[lemma]
-    by_canon = _roots_by_canonical(d, mat)
-    s = canonical_toral_basis(d, DeltaClass("Delta0", 0, mat))
-    vecs = list(_torus_slice(g, s, masks).rows) + list(d.nil_part.rows)
+    pre = relabellings().get(mat)
+    if pre is None:
+        raise PreconditionError(f"{mat!r} is not a GL(3, GF(2)) matrix")
+    if d.rank != 3 or len(d.roots) != 7:
+        raise PreconditionError("the constructions need all seven roots of a rank-3 torus")
+    killed, blocks, whole = _CONSTRUCTIONS[lemma]
+    vecs = list(vanishing_slice(g, d, [pre[mu] for mu in killed]).rows) + list(d.nil_part.rows)
     for sig, del_ in blocks:
-        vecs.extend(n_subspace(g, tm, d, by_canon[sig][0], by_canon[del_][0]).rows)
+        vecs.extend(n_subspace(g, tm, d, pre[sig], pre[del_]).rows)
     for mu in whole:
-        vecs.extend(by_canon[mu][1].rows)
+        vecs.extend(d.roots[pre[mu]].rows)
     return _ideal_report(g, lemma, Subspace.from_vectors(g.field, g.dim, vecs), mat)
 
 
@@ -423,21 +401,6 @@ _STAGES = (
 )
 
 
-@lru_cache(maxsize=1)
-def _relabellings():
-    """(matrix, preimages) per GL(3, GF(2)) matrix, in lexicographic order.
-
-    preimages[mu] is the root the matrix sends to mu, and preimages[0] = 0.
-    """
-    out = []
-    for mat in gl3_matrices():
-        pre = [0] * 8
-        for lam in _ALL_ROOTS:
-            pre[apply_gl3(mat, lam)] = lam
-        out.append((mat, pre))
-    return tuple(out)
-
-
 def dispatch(dims):
     """The construction that the dimension pattern fires, and its relabelling.
 
@@ -452,7 +415,7 @@ def dispatch(dims):
     if sorted(dims) != list(_ALL_ROOTS):
         raise PreconditionError("the dispatch needs the dimensions of all seven roots")
     row = [0] + [dims[lam] for lam in _ALL_ROOTS]
-    relabelled = [(mat, [row[lam] for lam in pre]) for mat, pre in _relabellings()]
+    relabelled = [(mat, [row[lam] for lam in pre]) for mat, pre in relabellings().items()]
     for stage in _STAGES:
         for mat, dd in relabelled:
             lemma = stage(dd)
@@ -465,16 +428,9 @@ def dispatch(dims):
 # missing-roots obstruction (fewer than seven roots)
 # ---------------------------------------------------------------------------
 
-# canonical bounding slices per configuration index, as masks over (s1, s2, s3)
-_OBSTRUCTION_SLICES = {
-    1: (),
-    2: (0b001, 0b010),          # s1, s2
-    3: (),
-    4: (0b010, 0b100),          # s2, s3
-    5: (0b011, 0b100),          # s1+s2, s3
-    6: (0b101, 0b110),          # s1+s3, s2+s3
-    7: (0b001, 0b110),          # s1, s2+s3
-}
+# per configuration index, the canonical roots that vanish on the slice bounding
+# every self-bracket (all three basis roots for the zero slice)
+_OBSTRUCTION_KILLS = {1: (1, 2, 4), 2: (4,), 3: (1, 2, 4), 4: (1,), 6: (7,)}
 
 
 @dataclass(frozen=True)
@@ -493,8 +449,12 @@ class ObstructionReport:
 def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
     """All self-brackets [g_lam, g_lam] lie in the tabulated slice plus n.
 
-    Applies to configurations with three to six roots (indices 1..7).  The
-    slice has dimension at most two while the torus has dimension three,
+    Applies to the configurations with three to six roots that the
+    classifier returns, Delta1..Delta4 and Delta6.  The slice is where the
+    tabulated canonical roots vanish: one root for Delta2, Delta4 and
+    Delta6, giving dimension two, and all three basis roots for Delta1 and
+    Delta3, giving the zero slice.  So it has dimension at most two while
+    the torus has dimension three,
     which obstructs simplicity: the Cartan subalgebra cannot equal the sum
     of the self-brackets.  Containment failure on a verified triangulable
     input contradicts the theory and is surfaced via ok=False.
@@ -509,8 +469,8 @@ def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
         raise PreconditionError("obstruction applies to configurations with missing roots")
     if not is_triangulable(g, d):
         raise PreconditionError("obstruction requires a triangulable Cartan subalgebra")
-    s = canonical_toral_basis(d, cls)
-    slice_sub = _torus_slice(g, s, _OBSTRUCTION_SLICES[cls.index])
+    pre = relabellings()[cls.basis_change]
+    slice_sub = vanishing_slice(g, d, [pre[mu] for mu in _OBSTRUCTION_KILLS[cls.index]])
     got = g.subspace([v for sp in d.roots.values() for v in bracket_span(g, sp, sp).rows])
     return ObstructionReport(
         cls.label,

@@ -15,7 +15,7 @@ import pytest
 
 from lie2.errors import PreconditionError
 from lie2.fixtures import delta0
-from lie2.roots import apply_gl3, gl3_matrices
+from lie2.roots import apply_gl3, relabellings
 from lie2.screening import (
     LEMMA_AB_GT_AG,
     LEMMA_ABG_GT_AG,
@@ -107,7 +107,7 @@ def reference_dispatch(dims_now):
     """The five copied stage loops that ``dispatch`` replaced, kept as its reference."""
     if len(set(dims_now.values())) == 1:
         return None
-    matrices = gl3_matrices()
+    matrices = tuple(relabellings())
 
     def dims_for(mat):
         return {apply_gl3(mat, lam): dim for lam, dim in dims_now.items()}
@@ -151,7 +151,7 @@ def test_generators_generate_gl3():
         frontier = [q for q in {relabel(p, mat) for p in frontier for mat in GENERATORS}
                     if q not in perms]
         perms.update(frontier)
-    assert len(perms) == len(gl3_matrices()) == 168
+    assert len(perms) == len(relabellings()) == 168
 
 
 def test_weak_orderings_and_their_orbits():
@@ -183,7 +183,7 @@ def test_dispatch_matches_the_stage_loops():
     # every orbit representative, and each under two seeded relabellings,
     # which must fire the representative's construction
     rng = random.Random(7)
-    matrices = gl3_matrices()
+    matrices = tuple(relabellings())
     for dims in ordering_orbits():
         hit = dispatch(as_dict(dims))
         assert hit == reference_dispatch(as_dict(dims)), dims

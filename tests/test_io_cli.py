@@ -272,6 +272,9 @@ def test_cli_verify_catches_broken_two_map(files, capsys):
     # [e0, e1] = e1 with e0^[2] = 0 violates the adjoint axiom
     rc = main(["verify", files["bad"]])
     assert rc == 1
+    # each violating vector prints as its coefficients, as in the JSON report
+    out = capsys.readouterr().out
+    assert "2-map axioms: TwoMapReport(adjoint=[((1,0), 1)])" in out
 
 
 def test_cli_verify_malformed_file(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Root space decompositions, the Cartan split, and the rank-3 taxonomy."""
 
 import random
+from itertools import product
+from types import SimpleNamespace
 
 import pytest
 
@@ -29,12 +31,11 @@ from lie2.restricted import extend_scalars, is_two_nilpotent
 from lie2.roots import (
     DELTA_SETS,
     apply_gl3,
-    canonical_toral_basis,
     classify_delta,
-    gl3_matrices,
     grading_check,
     is_standard,
     is_triangulable,
+    relabellings,
     root_decomposition,
     split_cartan,
     square_span,
@@ -397,7 +398,7 @@ def test_classify_requires_rank3():
 def test_classifier_equivariance():
     # relabelling the toral basis must not change the configuration label
     rng = random.Random(7)
-    mats = gl3_matrices()
+    mats = tuple(relabellings())
     for build in (f6, delta2, f7,
                   lambda: graded({1: 1, 2: 1, 3: 1, 4: 1, 6: 1}, name="fiveroots"),
                   lambda: graded({1: 1, 2: 1, 4: 1, 7: 2}, name="frame")):
@@ -414,10 +415,49 @@ def test_classifier_equivariance():
             assert classify_delta(d2).label == base.label, g.name
 
 
-def test_canonical_toral_basis_realizes_canonical_set():
-    for build in (delta2, lambda: graded({1: 1, 2: 1, 3: 1, 4: 1, 6: 1}, name="fiveroots")):
+def test_relabellings_is_gl3_in_lexicographic_order():
+    table = relabellings()
+    assert len(table) == 168
+    assert list(table) == sorted(table) and next(iter(table)) == (1, 2, 4)
+    for mat, pre in table.items():
+        assert pre[0] == 0 and sorted(pre) == list(range(8))
+        assert all(apply_gl3(mat, pre[mu]) == mu for mu in range(1, 8)), mat
+
+
+def test_preimage_table_realizes_canonical_set():
+    # the toral basis s_j = sum of the t_i over the set bits i of row j reads
+    # the observed root pre[mu] as the canonical root mu
+    for build in (delta2, f7, lambda: graded({1: 1, 2: 1, 3: 1, 4: 1, 6: 1}, name="fiveroots")):
         g, tm, d = decomposition(build)
         cls = classify_delta(d)
-        s = canonical_toral_basis(d, cls)
-        d2 = root_decomposition(g, tm, Torus(d.torus.subspace, tuple(s)))
+        pre = relabellings()[cls.basis_change]
+        assert {pre[mu] for mu in DELTA_SETS[cls.index]} == set(d.roots)
+        s = tuple(combine(F2, d.torus.toral_basis, row) for row in cls.basis_change)
+        d2 = root_decomposition(g, tm, Torus(d.torus.subspace, s))
         assert set(d2.roots) == DELTA_SETS[cls.index]
+        assert all(d2.roots[mu] == d.roots[pre[mu]] for mu in d2.roots), g.name
+
+
+def reference_classify(observed):
+    """The classifier that still tries Delta5 and Delta7, by applying every matrix."""
+    candidates = {3: (1,), 4: (2, 3), 5: (4, 5), 6: (6, 7), 7: (0,)}
+    matrices = [mat for mat in product(range(1, 8), repeat=3)
+                if len({apply_gl3(mat, lam) for lam in range(1, 8)}) == 7]
+    for idx in candidates.get(len(observed), ()):
+        for mat in matrices:
+            if {apply_gl3(mat, lam) for lam in observed} == DELTA_SETS[idx]:
+                return f"Delta{idx}", mat
+    return "NonStandardBasis", None
+
+
+def test_classifier_matches_the_reference_on_every_root_set():
+    # the five-root and the six-root sets each form one orbit, so the
+    # Delta5 and Delta7 rows of the reference never match first
+    labels = set()
+    for mask in range(1 << 7):
+        observed = [lam for lam in range(1, 8) if mask >> (lam - 1) & 1]
+        cls = classify_delta(SimpleNamespace(rank=3, roots=dict.fromkeys(observed)))
+        assert (cls.label, cls.basis_change) == reference_classify(observed), observed
+        labels.add(cls.label)
+    assert labels == {"Delta0", "Delta1", "Delta2", "Delta3", "Delta4", "Delta6",
+                      "NonStandardBasis"}

@@ -6,6 +6,7 @@ brute-force simplicity oracle; the two routes must never disagree.
 """
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -37,15 +38,18 @@ from lie2.restricted import TwoMap, extend_scalars, square
 from lie2.roots import (
     DELTA_SETS,
     Torus,
-    canonical_toral_basis,
+    apply_gl3,
     classify_delta,
     grading_check,
     is_triangulable,
+    relabellings,
     root_decomposition,
     square_span,
+    vanishing_slice,
 )
 from lie2.screening import (
-    _OBSTRUCTION_SLICES,
+    _CONSTRUCTIONS,
+    _OBSTRUCTION_KILLS,
     LEMMA_AB_GT_AG,
     LEMMA_ABG_GT_AG,
     LEMMA_AG_GT_BG,
@@ -220,6 +224,103 @@ def test_self_bracket_bounds_hold():
             assert self_bracket_bound(g, tm, d, xi).confined, (g.name, xi)
 
 
+# -- torus slices against the canonical toral basis -----------------------------------
+#
+# The screen names each torus slice by the canonical roots that vanish on it and
+# reads the observed roots off the preimage table.  The reference spans the same
+# slices directly: row j of the relabelling matrix selects the torals summed into
+# the canonical toral basis vector s_(j+1), and each slice is spanned by 3-bit
+# masks over (s1, s2, s3), bit j selecting s_(j+1).
+
+CONSTRUCTION_MASKS = {
+    LEMMA_ALPHA_GT_BETA: (0b010, 0b100),    # s2, s3
+    LEMMA_BETA_GT_XI: (0b100, 0b011),       # s3, s1+s2
+    LEMMA_BG_GT_ABG: (0b011, 0b101),        # s1+s2, s1+s3
+    LEMMA_AG_GT_EQ: (0b010, 0b100),         # s2, s3
+    LEMMA_GAMMA_GT_XI: (0b011, 0b101),      # s1+s2, s1+s3
+    LEMMA_AG_GT_BG: (0b001, 0b110),         # s1, s2+s3
+    LEMMA_AB_GT_AG: (),
+    LEMMA_ABG_GT_AG: (),
+}
+
+# per configuration index, the slice bounding every self-bracket
+OBSTRUCTION_MASKS = {
+    1: (),
+    2: (0b001, 0b010),          # s1, s2
+    3: (),
+    4: (0b010, 0b100),          # s2, s3
+    6: (0b101, 0b110),          # s1+s3, s2+s3
+}
+
+
+def mask_slice(g, d, mat, masks):
+    # the rows and masks select GF(2) combinations, so they pack over F2
+    s = [combine(F2, d.torus.toral_basis, row) for row in mat]
+    return g.subspace([combine(F2, s, m) for m in masks])
+
+
+def self_bracket_masks(config, mu):
+    """A basis root keeps the partners whose sum with it is a root, a sum of
+    two basis roots keeps their difference direction (plus the third toral
+    when the full sum is a root), and the full sum keeps the slice killing it."""
+    if mu in (1, 2, 4):
+        return [sigma for sigma in (1, 2, 4) if sigma ^ mu in config]
+    if mu == 7:
+        return [0b101, 0b110]  # s1+s3, s2+s3
+    return [mu] + ([7 ^ mu] if 7 in config else [])
+
+
+def reference_construction(g, tm, d, lemma, mat):
+    """named_construction through the mask slice and the matrix applied to each root."""
+    by_canon = {apply_gl3(mat, lam): lam for lam in d.roots}
+    _, blocks, whole = _CONSTRUCTIONS[lemma]
+    vecs = list(mask_slice(g, d, mat, CONSTRUCTION_MASKS[lemma]).rows) + list(d.nil_part.rows)
+    for sig, del_ in blocks:
+        vecs.extend(n_subspace(g, tm, d, by_canon[sig], by_canon[del_]).rows)
+    for mu in whole:
+        vecs.extend(d.roots[by_canon[mu]].rows)
+    return g.subspace(vecs)
+
+
+def test_slices_match_the_canonical_basis_route(slice_cases):
+    vacuity = [(label, *decomposition(build)) for label, build in vacuity_family()]
+    counts, bases = Counter(), set()
+    for name, g, tm, d in slice_cases + vacuity:
+        if d.rank != 3:
+            continue
+        cls = classify_delta(d)
+        if cls.index is None or not is_triangulable(g, d):
+            continue
+        for xi in d.root_list():
+            mu = apply_gl3(cls.basis_change, xi)
+            want = mask_slice(g, d, cls.basis_change,
+                              self_bracket_masks(DELTA_SETS[cls.index], mu))
+            assert self_bracket_bound(g, tm, d, xi).slice_subspace == want, (name, xi)
+            counts["self-bracket"] += 1
+        if cls.index:
+            pre = relabellings()[cls.basis_change]
+            got = vanishing_slice(g, d, [pre[mu] for mu in _OBSTRUCTION_KILLS[cls.index]])
+            assert got == mask_slice(g, d, cls.basis_change, OBSTRUCTION_MASKS[cls.index]), name
+            counts["obstruction"] += 1
+            continue
+        # both routes read only the toral basis, so each one is checked once
+        key = (g.field.k, g.dim, d.torus.toral_basis)
+        if key not in bases:
+            bases.add(key)
+            for mat, pre in relabellings().items():
+                for lemma, masks in CONSTRUCTION_MASKS.items():
+                    got = vanishing_slice(g, d, [pre[mu] for mu in _CONSTRUCTIONS[lemma][0]])
+                    assert got == mask_slice(g, d, mat, masks), (name, lemma, mat)
+                    counts["construction"] += 1
+        hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
+        if hit is not None:
+            got = named_construction(g, tm, d, *hit).subspace
+            assert got == reference_construction(g, tm, d, *hit), (name, hit)
+            counts["named"] += 1
+    assert counts == {"construction": 22848, "named": 145, "obstruction": 20,
+                      "self-bracket": 1127}
+
+
 # -- the slice + n test against the coordinate route ------------------------------------
 #
 # dimension_transfer and missing_roots_obstruction test "lies in a torus slice
@@ -277,9 +378,7 @@ def reference_transfer(g, tm, d, xi, eta):
 
 def reference_obstruction(g, d):
     cls = classify_delta(d)
-    s = canonical_toral_basis(d, cls)
-    # the masks select GF(2) combinations of s1, s2, s3, so they pack over F2
-    slice_sub = g.subspace([combine(F2, s, m) for m in _OBSTRUCTION_SLICES[cls.index]])
+    slice_sub = mask_slice(g, d, cls.basis_change, OBSTRUCTION_MASKS[cls.index])
     projections = []
     for sp in d.roots.values():
         projections.extend(torus_projection(g, d, bracket_span(g, sp, sp).rows).rows)
@@ -456,6 +555,15 @@ def test_named_construction_last_pattern_direct():
     assert rep.lemma == LEMMA_AG_GT_BG
     assert rep.subspace.dim == 15
     assert_sound(g, rep)
+
+
+def test_named_construction_refuses_missing_roots_and_non_matrices():
+    g, tm, d = decomposition(delta2)
+    with pytest.raises(PreconditionError):
+        named_construction(g, tm, d, LEMMA_ALPHA_GT_BETA, (1, 2, 4))
+    g, tm, d = decomposition(f7)
+    with pytest.raises(PreconditionError):
+        named_construction(g, tm, d, LEMMA_ALPHA_GT_BETA, (1, 2, 3))  # singular
 
 
 def test_dispatch_covers_random_patterns():
