@@ -26,7 +26,7 @@ for name, params in [
     detail = res.reason or ""
     if res.ideal is not None:
         detail += f"; ideal dim {res.ideal.subspace.dim} of {g.dim} (re-verified)"
-        oracle = is_simple(g, tm) if g.dim <= 16 else None
+        oracle = is_simple(g) if g.dim <= 16 else None
         if oracle is not None:
             assert not oracle.simple
             detail += ", oracle agrees"

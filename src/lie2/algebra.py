@@ -26,7 +26,6 @@ from .linalg import (
     kernel_of_map,
     rref_rows,
     unit,
-    vget,
     vscale,
 )
 
@@ -124,16 +123,7 @@ class LieAlgebra:
     def ad_matrix(self, x: int) -> Matrix:
         """The matrix of ad(x); column j is [x, b_j]."""
         f, n = self.field, self.dim
-        cols = [self.bracket(x, unit(f, j)) for j in range(n)]
-        rows = []
-        for i in range(n):
-            row = 0
-            for j, col in enumerate(cols):
-                c = vget(f, col, i)
-                if c:
-                    row |= c << (j * f.k)
-            rows.append(row)
-        return Matrix(f, n, n, rows)
+        return Matrix(f, n, n, (self.bracket(x, unit(f, j)) for j in range(n))).transpose()
 
     # -- whole-space helpers -------------------------------------------------
 
@@ -186,15 +176,15 @@ def centralizer(g: LieAlgebra, u: Subspace) -> Subspace:
     f, n = g.field, g.dim
     if u.dim == 0:
         return g.full_space()
+    units = g.full_space().rows
     # stack the maps x -> [x, y_r] over the basis of u into one codomain
     images = []
-    for i in range(n):
-        ei = unit(f, i)
+    for ei in units:
         stacked = 0
         for t, y in enumerate(u.rows):
             stacked |= g.bracket(ei, y) << (t * n * f.k)
         images.append(stacked)
-    return kernel_of_map(f, n, images)
+    return g.subspace(kernel_of_map(f, units, images))
 
 
 def center(g: LieAlgebra) -> Subspace:

@@ -178,8 +178,8 @@ def cmd_screen(args) -> int:
 
 
 def cmd_simple(args) -> int:
-    g, tm = fileio.load(args.file)
-    verdict = is_simple(g, tm, budget_bits=args.budget.bit_length() - 1)
+    g, _ = fileio.load(args.file)
+    verdict = is_simple(g, budget_bits=args.budget.bit_length() - 1)
     if verdict.simple:
         print(f"algebra {g.name}: simple ({verdict.closures_run} generator closures)")
     else:
@@ -254,7 +254,7 @@ def _suite_fixture_checks(suite, name, g, tm):
 
     centerless = center(g).dim == 0
     if centerless:
-        bound = check_dim_bound(g, tm, d)
+        bound = check_dim_bound(g, d)
         suite.check(name, "dim-bound", bound.ok,
                     f"{bound.dim} >= 2*{bound.rank}, {bound.independent_roots} independent roots")
 
@@ -275,12 +275,12 @@ def _suite_fixture_checks(suite, name, g, tm):
         cls = classify_delta(d)
         triangulable = cls.index is not None and is_triangulable(g, d)
         if triangulable and cls.index != 0:
-            obs = missing_roots_obstruction(g, tm, d)
+            obs = missing_roots_obstruction(g, d)
             suite.check(name, "obstruction", obs.ok,
                         f"{obs.configuration} proj {obs.projection_dim} <= slice {obs.slice_dim}")
         if triangulable:
             for xi in roots:
-                rep = self_bracket_bound(g, tm, d, xi)
+                rep = self_bracket_bound(g, d, xi)
                 suite.check(name, f"self-bracket-bound:{format_root(xi, d.rank)}", rep.confined,
                             f"slice dim {rep.slice_dim}")
         if centerless and triangulable and cls.index == 0:
@@ -288,11 +288,11 @@ def _suite_fixture_checks(suite, name, g, tm):
             if hit is None:  # all seven dimensions equal
                 suite.check(name, "rank3-construction", True, "equal dimensions, none fires")
             else:
-                rep = named_construction(g, tm, d, *hit)
+                rep = named_construction(g, d, *hit)
                 suite.check(name, "rank3-construction", rep.ok,
                             f"{rep.lemma} dim {rep.subspace.dim}")
         if centerless and all(sp.dim == 1 for sp in d.roots.values()) and d.roots:
-            rep = one_dim_rootspace_ideal(g, tm, d)
+            rep = one_dim_rootspace_ideal(g, d)
             suite.check(name, "one-dim-ideal", rep.ok, f"dim {rep.subspace.dim}")
 
 
@@ -301,18 +301,17 @@ def _suite_nsubspace_identity(suite, rng):
     pool = [fixtures.f7(), fixtures.u1(), fixtures.u2(), fixtures.delta0((1, 2, 1, 2, 1, 1, 2))]
     decomps = []
     for g, tm in pool:
-        t = maximal_torus(g, tm)
-        decomps.append((g, tm, root_decomposition(g, tm, t)))
+        decomps.append((g, root_decomposition(g, tm, maximal_torus(g, tm))))
     ok = True
     trials = 40
     for _ in range(trials):
-        g, tm, d = decomps[rng.randrange(len(decomps))]
+        g, d = decomps[rng.randrange(len(decomps))]
         roots = d.root_list()
         sigma = roots[rng.randrange(len(roots))]
         delta = roots[rng.randrange(len(roots))]
         if sigma == delta:
             continue
-        if n_subspace(g, tm, d, sigma, delta) != n_subspace(g, tm, d, sigma, sigma ^ delta):
+        if n_subspace(g, d, sigma, delta) != n_subspace(g, d, sigma, sigma ^ delta):
             ok = False
             break
     suite.check("corpus", "n-subspace-identity", ok, f"{trials} seeded triples")
@@ -328,7 +327,7 @@ def _suite_vacuity(suite):
             g, tm = build()
             # the screen raises rather than return a witness whose ideal fails
             ok = simplicity_screen(g, tm).verdict == VERDICT_WITNESS
-            simple = is_simple(g, tm).simple
+            simple = is_simple(g).simple
         except Lie2Error as exc:
             suite.check("vacuity", label, False, str(exc))
             continue

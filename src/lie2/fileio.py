@@ -19,7 +19,9 @@ field elements, each a little-endian bit string of exactly k polynomial
 coefficients ("1" or "0" for GF(2), e.g. "110" for 1 + x over GF(8)).
 
 Saving writes brackets sorted by (i, j) and all twomap lines in order, so
-save -> load -> save is byte-identical.
+save -> load -> save is byte-identical.  A name that would not read back
+as written (non-ASCII, unprintable, holding a ``#`` or with surrounding
+whitespace) is refused before anything is written.
 """
 
 from __future__ import annotations
@@ -77,9 +79,13 @@ def _count(parts, lineno: int) -> int:
 
 def dumps(g: LieAlgebra, tm: TwoMap) -> str:
     f, n = g.field, g.dim
+    name = g.name or "unnamed"
+    if not (name.isascii() and name.isprintable()) or "#" in name or name != name.strip():
+        raise ValueError(f"name {name!r} is not printable ASCII without '#' and surrounding "
+                         "whitespace, so it would not read back as written")
     out = io.StringIO()
     out.write(f"{FORMAT_NAME} {FORMAT_VERSION}\n")
-    out.write(f"name {g.name or 'unnamed'}\n")
+    out.write(f"name {name}\n")
     out.write(f"dim {n}\n")
     out.write(f"field_degree {f.k}\n")
     for i in range(n):
@@ -92,8 +98,9 @@ def dumps(g: LieAlgebra, tm: TwoMap) -> str:
 
 
 def save(g: LieAlgebra, tm: TwoMap, path) -> None:
+    text = dumps(g, tm)
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(dumps(g, tm))
+        fh.write(text)
 
 
 def loads(text: str):

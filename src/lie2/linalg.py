@@ -16,18 +16,27 @@ is not canonical.  :func:`reduce_vector` clears every pivot coordinate
 against rows in reduced echelon form, so two vectors differing by an
 element of the span get the same residue; :meth:`Subspace.reduce` gives
 that canonical coset representative, and :func:`rref_rows` uses it for
-its back-substitution.  :func:`kernel_of_map`,
-:func:`solve` and :meth:`Subspace.intersect` (Zassenhaus) put a tag block
-above the image.  :func:`lie2.algebra.spin` and the spans of iterated
-squares and toral elements grow an echelon one vector at a time.
+its back-substitution.  :func:`lie2.algebra.spin` and the spans of
+iterated squares and toral elements grow an echelon one vector at a time.
+
+Augmented elimination puts a tag block above the image.  In
+:func:`kernel_of_map` the tag of row i is the domain vector ``basis[i]``,
+so a kernel comes back as vectors of the domain with no coefficients to
+read back: :func:`nullspace` and :func:`lie2.algebra.centralizer` pass the
+unit basis, :func:`lie2.roots.vanishing_slice` the toral basis,
+:func:`lie2.screening.n_subspace` the rows of a root space,
+:func:`lie2.tori.toral_basis` a GF(2)-spanning set of the torus, and
+:meth:`Subspace.intersect` (Zassenhaus) the rows of one side with zero
+tags on the other.  :func:`solve` tags with the units, to read off the
+coefficients of one solution.  :func:`combine` is the one loop that
+multiplies coefficients into a basis: matrix products and
+:meth:`Subspace.vectors` run through it.
 
 Everything here is immutable after construction and safe to share between
 threads; operations are pure functions of their inputs.
 """
 
 from __future__ import annotations
-
-from itertools import product
 
 from .errors import AmbientMismatchError
 from .field import GF2k
@@ -62,22 +71,6 @@ def unit(field: GF2k, i: int) -> int:
     """The basis vector e_i."""
     return 1 << (i * field.k)
 
-
-def support(field: GF2k, v: int):
-    """Indices of nonzero coordinates, ascending."""
-    if field.k == 1:
-        while v:
-            low = v & -v
-            yield low.bit_length() - 1
-            v ^= low
-    else:
-        k, mask = field.k, field.mask
-        i = 0
-        while v:
-            if v & mask:
-                yield i
-            v >>= k
-            i += 1
 
 def vscale(field: GF2k, v: int, c: int) -> int:
     """Scalar multiple ``c * v``."""
@@ -236,30 +229,18 @@ class Matrix:
     def entry(self, i: int, j: int) -> int:
         return vget(self.field, self.rows[i], j)
 
-    def column(self, j: int) -> int:
-        """Column ``j`` packed as a length-nrows vector."""
+    def transpose(self) -> "Matrix":
+        """Row j of the transpose is column j packed as a length-nrows vector."""
         f = self.field
-        return vector(f, (self.entry(i, j) for i in range(self.nrows)))
+        cols = (vector(f, (vget(f, r, j) for r in self.rows)) for j in range(self.ncols))
+        return Matrix(f, self.ncols, self.nrows, cols)
 
     def matmul(self, other: "Matrix") -> "Matrix":
+        """Row i of the product is row i of ``self`` read as coefficients of ``other``'s rows."""
         if self.ncols != other.nrows:
             raise AmbientMismatchError("matmul shape mismatch")
         f = self.field
-        ocols = [other.column(j) for j in range(other.ncols)]
-        rows = []
-        for r in self.rows:
-            out = 0
-            for j, col in enumerate(ocols):
-                # dot(r, col) without unpacking everything twice
-                acc = 0
-                for t in support(f, r):
-                    acc ^= f.mul(vget(f, r, t), vget(f, col, t)) if f.k > 1 else (
-                        vget(f, col, t)
-                    )
-                if acc:
-                    out |= acc << (j * f.k)
-            rows.append(out)
-        return Matrix(f, self.nrows, other.ncols, rows)
+        return Matrix(f, self.nrows, other.ncols, (combine(f, other.rows, r) for r in self.rows))
 
     def __matmul__(self, other):
         return self.matmul(other)
@@ -277,8 +258,8 @@ def rref(m: Matrix) -> Matrix:
 
 def nullspace(m: Matrix) -> "Subspace":
     """Solution space of M*x = 0."""
-    f = m.field
-    return kernel_of_map(f, m.ncols, [m.column(j) for j in range(m.ncols)])
+    f, n = m.field, m.ncols
+    return Subspace.from_vectors(f, n, kernel_of_map(f, Subspace.full(f, n).rows, m.transpose().rows))
 
 
 def _tag_shift(field: GF2k, vectors) -> int:
@@ -288,22 +269,24 @@ def _tag_shift(field: GF2k, vectors) -> int:
     return ((width + k - 1) // k) * k
 
 
-def kernel_of_map(field: GF2k, domain_dim: int, images) -> "Subspace":
-    """Kernel of the linear map sending e_i to ``images[i]``.
+def kernel_of_map(field: GF2k, basis, images) -> list:
+    """Kernel of the linear map sending ``basis[i]`` to ``images[i]``.
 
-    ``images`` are packed vectors in any codomain; the kernel lives in the
-    domain.  Uses tag-augmented elimination: each row carries its domain
-    coordinates in the high bits, and rows whose image part cancels to zero
-    surrender a kernel vector.
+    ``images`` are packed vectors in any codomain; the kernel is returned as
+    vectors of the domain, the sums of ``c_i * basis[i]`` over the
+    solutions c of ``sum c_i * images[i] = 0``, spanning that space and
+    independent when ``basis`` is.  Uses tag-augmented elimination: row i
+    carries ``basis[i]`` in the high bits above ``images[i]``, and a row
+    whose image part cancels already holds a kernel vector in its tag.
     """
     shift = _tag_shift(field, images)
     echelon = {}
-    kernel_rows = []
-    for i, im in enumerate(images):
-        row = _reduce(field, echelon, im | (unit(field, i) << shift), shift // field.k)
-        if not row & ((1 << shift) - 1):
-            kernel_rows.append(row >> shift)
-    return Subspace.from_vectors(field, domain_dim, kernel_rows)
+    kernel = []
+    for b, im in zip(basis, images, strict=True):
+        row = _reduce(field, echelon, im | (b << shift), shift // field.k)
+        if row and not row & ((1 << shift) - 1):
+            kernel.append(row >> shift)
+    return kernel
 
 
 def solve(field: GF2k, images, target: int):
@@ -402,35 +385,17 @@ class Subspace:
         Rows (u | u) for u in self and (v | 0) for v in other are reduced in
         one pass; the residuals whose left half cancels carry a basis of the
         intersection in their right half (the stored rows' left halves span
-        the sum, so the dimension formula holds by construction).
+        the sum, so the dimension formula holds by construction).  That is
+        :func:`kernel_of_map` with the rows of both as images and tags
+        u_1, ..., u_d, 0, ..., 0.
         """
         self._check_ambient(other)
         f, n = self.field, self.ambient
-        shift = n * f.k
-        echelon = {}
-        inter_rows = []
-        for row in [r | (r << shift) for r in self.rows] + list(other.rows):
-            row = _reduce(f, echelon, row, n)
-            if row and not row & ((1 << shift) - 1):
-                inter_rows.append(row >> shift)
-        return Subspace.from_vectors(f, n, inter_rows)
+        tags = self.rows + (0,) * other.dim
+        return Subspace.from_vectors(f, n, kernel_of_map(f, tags, self.rows + other.rows))
 
     def vectors(self):
         """Every element of the subspace (2^(k*dim) of them)."""
         f = self.field
-        if f.k == 1:
-            for bits in range(1 << self.dim):
-                v, b = 0, bits
-                i = 0
-                while b:
-                    if b & 1:
-                        v ^= self.rows[i]
-                    b >>= 1
-                    i += 1
-                yield v
-        else:
-            for cs in product(range(f.order), repeat=self.dim):
-                v = 0
-                for c, r in zip(cs, self.rows):
-                    v ^= vscale(f, r, c)
-                yield v
+        for c in range(1 << (f.k * self.dim)):
+            yield combine(f, self.rows, c)

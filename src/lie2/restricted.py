@@ -201,20 +201,15 @@ def two_envelope(g: LieAlgebra, tm: TwoMap, x: int) -> Subspace:
 def jcs_decompose(g: LieAlgebra, tm: TwoMap, x: int):
     """Split x = x_s + x_n into commuting semisimple and 2-nilpotent parts.
 
-    The nilpotent part of x dies after at most k*dim squarings, and on the
-    periodic part squaring has the detected period p, so iterating squaring
-    M times for the least multiple M of p with M >= k*dim maps x exactly to
-    its semisimple part.  Postconditions are re-verified before returning.
+    The iterates x, x^[2], x^[4], ... repeat with period p from the
+    preperiod q on.  The iterates of x_n die and those of x_s cycle with
+    period p, so the M-th iterate is x_s at every multiple M of p with
+    M >= q; the least such M lies in the detected orbit.  The split is
+    checked before returning: under a 2-map that is not semilinear (a
+    corrupted input) that iterate need not be semisimple.
     """
     seq, first, period = _orbit(g, tm, x)
-    floor = max(g.field.k * g.dim, 1)
-    m = ((floor + period - 1) // period) * period
-    if m < first:
-        m = ((first + period - 1) // period) * period
-    if m < len(seq):
-        xs = seq[m]
-    else:
-        xs = seq[first + ((m - first) % period)]
+    xs = seq[-(-first // period) * period]
     xn = x ^ xs
     if not (
         is_semisimple(g, tm, xs)

@@ -40,7 +40,7 @@ from .algebra import (
     derived_subalgebra,
 )
 from .errors import NonToralBasisError, PreconditionError, SplitFailureError
-from .linalg import Subspace, combine, kernel_of_map, rref_rows, vector
+from .linalg import Subspace, kernel_of_map, rref_rows, vector
 from .restricted import TwoMap, jcs_decompose, span_of_squares
 from .tori import Torus
 
@@ -218,15 +218,14 @@ def vanishing_slice(g: LieAlgebra, d: RootDecomposition, roots) -> Subspace:
 
     A root's value on the toral basis vector t_(j+1) is its bit j, so the
     slice is the kernel of the map sending t_(j+1) to those values, one
-    coordinate per root, read back through the toral basis.  A root
+    coordinate per root, which comes back as elements of the torus.  A root
     extended to h by zero on n therefore vanishes exactly on the slice
     plus n, which is how every confinement "lies in a torus slice plus n"
     is tested.
     """
     f = g.field
     images = [vector(f, [lam >> j & 1 for lam in roots]) for j in range(d.rank)]
-    coords = kernel_of_map(f, d.rank, images)
-    return g.subspace([combine(f, d.torus.toral_basis, c) for c in coords.rows])
+    return g.subspace(kernel_of_map(f, d.torus.toral_basis, images))
 
 
 def square_span(g: LieAlgebra, tm: TwoMap, d: RootDecomposition, xi: int) -> Subspace:

@@ -62,7 +62,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
 from .field import gf
-from .linalg import Subspace, combine, kernel_of_map, pivot_index, rref_rows, vget
+from .linalg import Subspace, kernel_of_map, pivot_index, rref_rows, vget
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
@@ -148,7 +148,7 @@ class DimBoundReport:
     ok: bool
 
 
-def check_dim_bound(g: LieAlgebra, tm: TwoMap, d: RootDecomposition) -> DimBoundReport:
+def check_dim_bound(g: LieAlgebra, d: RootDecomposition) -> DimBoundReport:
     """Verify r independent roots exist and dim(g) >= 2r; centerless only."""
     if center(g).dim != 0:
         raise PreconditionError("dimension bound applies to centerless algebras")
@@ -162,7 +162,7 @@ def check_dim_bound(g: LieAlgebra, tm: TwoMap, d: RootDecomposition) -> DimBound
 # one-dimensional root spaces
 # ---------------------------------------------------------------------------
 
-def one_dim_rootspace_ideal(g: LieAlgebra, tm: TwoMap, d: RootDecomposition) -> IdealReport:
+def one_dim_rootspace_ideal(g: LieAlgebra, d: RootDecomposition) -> IdealReport:
     """n plus all root spaces, an ideal when every root space has dim 1."""
     if center(g).dim != 0:
         raise PreconditionError("construction requires a centerless algebra")
@@ -257,7 +257,7 @@ def kernel_confinement(g, tm, d, alpha1: int, others) -> ConfinementReport:
     return ConfinementReport(confined, slice_sub.dim, slice_sub.dim <= r - len(roots_all), slice_sub)
 
 
-def self_bracket_bound(g, tm, d, xi: int) -> ConfinementReport:
+def self_bracket_bound(g, d, xi: int) -> ConfinementReport:
     """[g_xi, g_xi] lies in the torus slice where some canonical roots vanish, plus n.
 
     Read xi as the canonical root mu.  For mu = alpha+beta+gamma the slice
@@ -284,7 +284,7 @@ def self_bracket_bound(g, tm, d, xi: int) -> ConfinementReport:
 # the N(sigma, delta) building block
 # ---------------------------------------------------------------------------
 
-def n_subspace(g, tm, d, sigma: int, delta: int) -> Subspace:
+def n_subspace(g, d, sigma: int, delta: int) -> Subspace:
     """{x in g_sigma : [x, g_sigma] in n and [[x, g_delta], g_{sigma+delta}] in n}.
 
     Both conditions are linear in x, so the result is one kernel
@@ -314,9 +314,7 @@ def n_subspace(g, tm, d, sigma: int, delta: int) -> Subspace:
         for t, b in enumerate(blocks):
             stacked |= b << (t * g.dim * f.k)
         images.append(stacked)
-    coeff_kernel = kernel_of_map(f, sp.dim, images)
-    rows = [combine(f, sp.rows, cr) for cr in coeff_kernel.rows]
-    return Subspace.from_vectors(f, g.dim, rows)
+    return g.subspace(kernel_of_map(f, sp.rows, images))
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +340,7 @@ _CONSTRUCTIONS = {
 }
 
 
-def named_construction(g, tm, d: RootDecomposition, lemma: str, mat) -> IdealReport:
+def named_construction(g, d: RootDecomposition, lemma: str, mat) -> IdealReport:
     """Build one specific construction under an explicit relabelling.
 
     ``mat`` is the dual-basis change (a GL(3, GF(2)) matrix as row ints)
@@ -362,7 +360,7 @@ def named_construction(g, tm, d: RootDecomposition, lemma: str, mat) -> IdealRep
     killed, blocks, whole = _CONSTRUCTIONS[lemma]
     vecs = list(vanishing_slice(g, d, [pre[mu] for mu in killed]).rows) + list(d.nil_part.rows)
     for sig, del_ in blocks:
-        vecs.extend(n_subspace(g, tm, d, pre[sig], pre[del_]).rows)
+        vecs.extend(n_subspace(g, d, pre[sig], pre[del_]).rows)
     for mu in whole:
         vecs.extend(d.roots[pre[mu]].rows)
     return _ideal_report(g, lemma, Subspace.from_vectors(g.field, g.dim, vecs), mat)
@@ -446,7 +444,7 @@ class ObstructionReport:
         return self.contained and self.obstruction
 
 
-def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
+def missing_roots_obstruction(g, d: RootDecomposition) -> ObstructionReport:
     """All self-brackets [g_lam, g_lam] lie in the tabulated slice plus n.
 
     Applies to the configurations with three to six roots that the
@@ -481,7 +479,7 @@ def missing_roots_obstruction(g, tm, d: RootDecomposition) -> ObstructionReport:
     )
 
 
-def missing_roots_ideal(g, tm, d: RootDecomposition) -> IdealReport:
+def missing_roots_ideal(g, d: RootDecomposition) -> IdealReport:
     """The ideal sum of self-brackets + n + root spaces (missing-root case)."""
     vecs = list(d.nil_part.rows)
     for lam, sp in d.roots.items():
@@ -536,17 +534,17 @@ def simplicity_screen(g: LieAlgebra, tm: TwoMap) -> ScreenResult:
             "centerless rank-3 algebra without three independent roots"
         )
     if cls.index != 0:
-        obs = missing_roots_obstruction(g, tm, d)
+        obs = missing_roots_obstruction(g, d)
         if not obs.ok:
             raise ContradictionError(f"obstruction containment failed: {obs}")
-        return _witness(missing_roots_ideal(g, tm, d), f"configuration {cls.label}")
+        return _witness(missing_roots_ideal(g, d), f"configuration {cls.label}")
     hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
     if hit is not None:
-        rep = named_construction(g, tm, d, *hit)
+        rep = named_construction(g, d, *hit)
         return _witness(rep, f"construction {rep.lemma}", _first_unequal_pair(d))
     common = next(iter(sp.dim for sp in d.roots.values()))
     if common == 1:
-        return _witness(one_dim_rootspace_ideal(g, tm, d), "all root spaces one-dimensional")
+        return _witness(one_dim_rootspace_ideal(g, d), "all root spaces one-dimensional")
     return ScreenResult(
         VERDICT_PASSES,
         reason=f"all seven root spaces of dimension {common}, dim(g) = {g.dim}",
@@ -576,7 +574,7 @@ class SimplicityVerdict:
     reason: str | None = None
 
 
-def is_simple(g: LieAlgebra, tm: TwoMap, budget_bits: int = SIMPLE_ORACLE_BITS) -> SimplicityVerdict:
+def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> SimplicityVerdict:
     """Brute-force simplicity oracle.
 
     Spins every 1-dimensional generator (all nonzero vectors over GF(2),

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from .algebra import LieAlgebra
 from .errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from .field import gf
-from .linalg import Subspace, combine, kernel_of_map, rref_rows, vscale
+from .linalg import Subspace, kernel_of_map, rref_rows, vscale
 from .restricted import TwoMap, _raw_images, square
 
 TORAL_ENUM_BITS = 24        # ceiling on k*n for exhaustive toral enumeration
@@ -187,13 +187,12 @@ def toral_basis(g: LieAlgebra, tm: TwoMap, u: Subspace):
         raise PreconditionError("toral_basis requires a torus")
     f = g.field
     raw = [vscale(f, r, f.pow(2, s)) for r in u.rows for s in range(f.k)]
-    f2 = gf(1)
-    fixed = kernel_of_map(f2, len(raw), [square(g, tm, v) ^ v for v in raw])
-    if fixed.dim != u.dim:
+    torals = kernel_of_map(gf(1), raw, [square(g, tm, v) ^ v for v in raw])
+    if len(torals) != u.dim:
         raise FieldTooSmallError(
             "torus has no basis of toral elements over this field; extend the field"
         )
-    return [combine(f2, raw, c) for c in fixed.rows]
+    return torals
 
 
 # ---------------------------------------------------------------------------

@@ -144,7 +144,7 @@ def test_criterion_5_ideal_soundness_and_oracle():
     closures = 0
     for name, g, tm, rep in reports:
         if g.dim <= 12:
-            verdict = is_simple(g, tm, budget_bits=12)
+            verdict = is_simple(g, budget_bits=12)
             closures += verdict.closures_run
             if verdict.simple:
                 disagreements.append(name)
@@ -160,7 +160,7 @@ def test_criterion_6_obstruction_containments():
     for build in (f6, delta2):  # Delta1- and Delta2-realizing fixtures
         g, tm, d = decompose(lambda b=build: b())
         cls = classify_delta(d)
-        obs = missing_roots_obstruction(g, tm, d)
+        obs = missing_roots_obstruction(g, d)
         assert obs.contained, g.name
         assert obs.slice_dim <= 2 < d.rank, g.name
         results.append((g.name, cls.label, obs.projection_dim, obs.slice_dim))
@@ -182,7 +182,7 @@ def test_criterion_7_vacuity_family():
         )
         if not witnessed:
             unwitnessed.append(label)
-        if is_simple(g, tm).simple:
+        if is_simple(g).simple:
             simple_hits.append(label)
     elapsed = time.monotonic() - start
     ok = not simple_hits and not unwitnessed and elapsed < 600.0
@@ -201,7 +201,7 @@ def test_criterion_8_n_subspace_identity():
         delta = roots[rng.randrange(len(roots))]
         if sigma == delta:
             continue
-        assert n_subspace(g, tm, d, sigma, delta) == n_subspace(g, tm, d, sigma, sigma ^ delta)
+        assert n_subspace(g, d, sigma, delta) == n_subspace(g, d, sigma, sigma ^ delta)
         checked += 1
     _verdict(8, True, "N(sigma,delta) = N(sigma,sigma+delta) on 100 randomized triples, exact")
 

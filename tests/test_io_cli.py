@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from lie2 import screening
-from lie2.algebra import abelian
+from lie2.algebra import LieAlgebra, abelian
 from lie2.cli import build_parser, main
 from lie2.errors import ContradictionError, FileFormatError
 from lie2.fileio import dumps, load, loads, save
@@ -45,6 +45,26 @@ def test_save_load_file(tmp_path):
     save(g, tm, path)
     g2, tm2 = load(path)
     assert g2.table == g.table and tm2.images == tm.images
+
+
+@pytest.mark.parametrize("name", ["f6 #2", "  padded  ", "a\ndim 3", "f6_\u03b1", "form\x0cfeed"])
+def test_names_that_would_not_read_back_are_refused(tmp_path, name):
+    g, tm = f6()
+    g = LieAlgebra(g.field, g.dim, g.table, name)
+    with pytest.raises(ValueError, match="printable ASCII"):
+        dumps(g, tm)
+    path = tmp_path / "bad.l2a"
+    with pytest.raises(ValueError):
+        save(g, tm, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("name", ["f6 2", "two  spaces", "x_perm", "", None])
+def test_names_read_back_as_written(name):
+    g, tm = f6()
+    text = dumps(LieAlgebra(g.field, g.dim, g.table, name), tm)
+    g2, tm2 = loads(text)
+    assert g2.name == (name or "unnamed") and dumps(g2, tm2) == text
 
 
 def test_gf8_coefficients_serialize_little_endian():

@@ -24,6 +24,7 @@ from lie2.linalg import (
     rref,
     rref_rows,
     solve,
+    unit,
     vector,
     vget,
     vscale,
@@ -34,13 +35,19 @@ F4 = gf(2)
 
 
 def apply(m, v):
-    """Matrix-vector product M*v for a packed length-ncols vector."""
-    acc = 0
-    for j in range(m.ncols):
-        c = vget(m.field, v, j)
-        if c:
-            acc ^= vscale(m.field, m.column(j), c)
-    return acc
+    """Matrix-vector product M*v for a packed length-ncols vector, entry by entry."""
+    f = m.field
+    out = []
+    for i in range(m.nrows):
+        acc = 0
+        for j in range(m.ncols):
+            acc ^= f.mul(m.entry(i, j), vget(f, v, j))
+        out.append(acc)
+    return vector(f, out)
+
+
+def units(field, n):
+    return [unit(field, i) for i in range(n)]
 
 
 def enumerate_span(field, n, rows):
@@ -238,7 +245,7 @@ def test_solve_finds_combination():
 
 def test_kernel_of_map_matches_bruteforce():
     images = [3, 5, 6, 0]  # map from GF(2)^4 into GF(2)^3
-    ker = kernel_of_map(F2, 4, images)
+    ker = kernel_of_map(F2, units(F2, 4), images)
     brute = set()
     for v in range(16):
         acc = 0
@@ -247,7 +254,9 @@ def test_kernel_of_map_matches_bruteforce():
                 acc ^= images[i]
         if acc == 0:
             brute.add(v)
-    assert enumerate_span(F2, 4, ker.rows) == brute
+    assert enumerate_span(F2, 4, ker) == brute
+    with pytest.raises(ValueError):
+        kernel_of_map(F2, units(F2, 3), images)
 
 
 def combination_oracle(field, vectors, x):
@@ -273,12 +282,77 @@ def test_solve_kernel_and_combine_against_enumeration(case):
         assert combine(f, images, x) == combination_oracle(f, images, x)
         assert combine(f, images, x | (1 << (k * m))) == combine(f, images, x)  # past the end
     kernel = {x for x in domain if combination_oracle(f, images, x) == 0}
-    assert enumerate_span(f, m, kernel_of_map(f, m, images).rows) == kernel
+    assert enumerate_span(f, m, kernel_of_map(f, units(f, m), images)) == kernel
     x = solve(f, images, target)
     reachable = any(combination_oracle(f, images, y) == target for y in domain)
     assert (x is not None) == reachable
     if x is not None:
         assert combination_oracle(f, images, x) == target
+
+
+def kernel_via_coefficients(field, basis, images):
+    """Reference: the coefficient kernel on the unit basis, read back through ``basis``."""
+    coords = kernel_of_map(field, units(field, len(basis)), images)
+    return [combine(field, basis, c) for c in coords]
+
+
+def test_kernel_of_map_tags_match_the_coefficient_route():
+    # bases with zero and repeated entries, as Subspace.intersect passes them
+    rng = random.Random(18)
+    for k in (1, 2, 3):
+        f = gf(k)
+        for _ in range(60):
+            n, m = rng.randrange(1, 5), rng.randrange(0, 6)
+            basis = [rng.randrange(1 << (n * k)) for _ in range(m)]
+            for i in rng.sample(range(m), min(m, rng.randrange(3))):
+                basis[i] = rng.choice([0] + basis)
+            images = [rng.randrange(1 << (3 * k)) if rng.random() < 0.7 else 0 for _ in range(m)]
+            got = kernel_of_map(f, basis, images)
+            want = Subspace.from_vectors(f, n, kernel_via_coefficients(f, basis, images))
+            assert Subspace.from_vectors(f, n, got) == want, (k, basis, images)
+            assert 0 not in got
+            if Subspace.from_vectors(f, n, basis).dim == m:  # independent basis, independent kernel
+                assert len(got) == want.dim
+
+
+def matmul_oracle(a, b):
+    """Entrywise product: (AB)_ij = sum_t A_it B_tj."""
+    f = a.field
+    out = []
+    for i in range(a.nrows):
+        row = []
+        for j in range(b.ncols):
+            acc = 0
+            for t in range(a.ncols):
+                acc ^= f.mul(a.entry(i, t), b.entry(t, j))
+            row.append(acc)
+        out.append(row)
+    return out
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_matmul_and_transpose_against_entries(k):
+    f, rng = gf(k), random.Random(k)
+    for _ in range(40):
+        p, q, r = (rng.randrange(1, 5) for _ in range(3))
+        a = Matrix.from_entries(f, [[rng.randrange(f.order) for _ in range(q)] for _ in range(p)])
+        b = Matrix.from_entries(f, [[rng.randrange(f.order) for _ in range(r)] for _ in range(q)])
+        assert (a @ b).entries() == matmul_oracle(a, b)
+        assert a.transpose().entries() == [list(col) for col in zip(*a.entries())]
+        assert a.transpose().transpose() == a
+        assert (a @ b).transpose() == b.transpose() @ a.transpose()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_vectors_lists_each_element_once(k):
+    f, rng = gf(k), random.Random(10 + k)
+    for _ in range(20):
+        n = rng.randrange(1, 4)
+        vecs = [rng.randrange(1 << (n * k)) for _ in range(rng.randrange(4))]
+        u = Subspace.from_vectors(f, n, vecs)
+        vs = list(u.vectors())
+        assert len(vs) == len(set(vs)) == f.order ** u.dim
+        assert set(vs) == enumerate_span(f, n, u.rows)
 
 
 def test_matmul_and_apply_agree():

@@ -239,7 +239,8 @@ def joint_eigenspaces(g, basis):
     kernels = []
     for ti in basis:
         cols = [g.bracket(ti, unit(f, j)) for j in range(n)]
-        kernels.append([kernel_of_map(f, n, [c ^ (b * unit(f, j)) for j, c in enumerate(cols)])
+        kernels.append([g.subspace(kernel_of_map(f, g.full_space().rows,
+                                                 [c ^ (b * unit(f, j)) for j, c in enumerate(cols)]))
                         for b in (0, 1)])
     out = {}
     for bits in range(1 << len(basis)):

@@ -100,7 +100,7 @@ def assert_sound(g, rep):
 
 def test_dim_bound_f6_tight():
     g, tm, d = decomposition(f6)
-    rep = check_dim_bound(g, tm, d)
+    rep = check_dim_bound(g, d)
     assert rep.ok and rep.dim == 2 * rep.rank == 6
     assert rep.independent_roots == 3
 
@@ -108,12 +108,12 @@ def test_dim_bound_f6_tight():
 def test_dim_bound_needs_centerless():
     g, tm, d = decomposition(lambda: torus(3))
     with pytest.raises(PreconditionError):
-        check_dim_bound(g, tm, d)
+        check_dim_bound(g, d)
 
 
 def test_dim_bound_f7():
     g, tm, d = decomposition(f7)
-    rep = check_dim_bound(g, tm, d)
+    rep = check_dim_bound(g, d)
     assert rep.ok and rep.dim == 10 >= 2 * rep.rank
 
 
@@ -121,7 +121,7 @@ def test_dim_bound_f7():
 
 def test_one_dim_ideal_f6():
     g, tm, d = decomposition(f6)
-    rep = one_dim_rootspace_ideal(g, tm, d)
+    rep = one_dim_rootspace_ideal(g, d)
     assert rep.lemma == LEMMA_DIM1
     assert rep.subspace == g.subspace([unit(F2, 3), unit(F2, 4), unit(F2, 5)])
     assert_sound(g, rep)
@@ -129,7 +129,7 @@ def test_one_dim_ideal_f6():
 
 def test_one_dim_ideal_f7():
     g, tm, d = decomposition(f7)
-    rep = one_dim_rootspace_ideal(g, tm, d)
+    rep = one_dim_rootspace_ideal(g, d)
     assert rep.subspace.dim == 7
     assert_sound(g, rep)
 
@@ -137,13 +137,13 @@ def test_one_dim_ideal_f7():
 def test_one_dim_ideal_rejects_fat_root_spaces():
     g, tm, d = decomposition(lambda: gl(2))
     with pytest.raises(PreconditionError):
-        one_dim_rootspace_ideal(g, tm, d)
+        one_dim_rootspace_ideal(g, d)
 
 
 def test_one_dim_ideal_rejects_center():
     g, tm, d = decomposition(f6n)
     with pytest.raises(PreconditionError):
-        one_dim_rootspace_ideal(g, tm, d)
+        one_dim_rootspace_ideal(g, d)
 
 
 # -- dimension transfer ----------------------------------------------------------------
@@ -221,7 +221,7 @@ def test_self_bracket_bounds_hold():
     for build in (f6, f6n, delta2, f7, u1, u2):
         g, tm, d = decomposition(build)
         for xi in d.root_list():
-            assert self_bracket_bound(g, tm, d, xi).confined, (g.name, xi)
+            assert self_bracket_bound(g, d, xi).confined, (g.name, xi)
 
 
 # -- torus slices against the canonical toral basis -----------------------------------
@@ -276,7 +276,7 @@ def reference_construction(g, tm, d, lemma, mat):
     _, blocks, whole = _CONSTRUCTIONS[lemma]
     vecs = list(mask_slice(g, d, mat, CONSTRUCTION_MASKS[lemma]).rows) + list(d.nil_part.rows)
     for sig, del_ in blocks:
-        vecs.extend(n_subspace(g, tm, d, by_canon[sig], by_canon[del_]).rows)
+        vecs.extend(n_subspace(g, d, by_canon[sig], by_canon[del_]).rows)
     for mu in whole:
         vecs.extend(d.roots[by_canon[mu]].rows)
     return g.subspace(vecs)
@@ -295,7 +295,7 @@ def test_slices_match_the_canonical_basis_route(slice_cases):
             mu = apply_gl3(cls.basis_change, xi)
             want = mask_slice(g, d, cls.basis_change,
                               self_bracket_masks(DELTA_SETS[cls.index], mu))
-            assert self_bracket_bound(g, tm, d, xi).slice_subspace == want, (name, xi)
+            assert self_bracket_bound(g, d, xi).slice_subspace == want, (name, xi)
             counts["self-bracket"] += 1
         if cls.index:
             pre = relabellings()[cls.basis_change]
@@ -314,7 +314,7 @@ def test_slices_match_the_canonical_basis_route(slice_cases):
                     counts["construction"] += 1
         hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
         if hit is not None:
-            got = named_construction(g, tm, d, *hit).subspace
+            got = named_construction(g, d, *hit).subspace
             assert got == reference_construction(g, tm, d, *hit), (name, hit)
             counts["named"] += 1
     assert counts == {"construction": 22848, "named": 145, "obstruction": 20,
@@ -351,8 +351,8 @@ def extended_root_kernel(g, d, root):
     f = g.field
     h_basis = list(d.torus.toral_basis) + list(d.nil_part.rows)
     images = [root >> i & 1 if i < d.rank else 0 for i in range(len(h_basis))]
-    coords = kernel_of_map(f, len(h_basis), images)
-    return Subspace.from_vectors(f, g.dim, [combine(f, h_basis, c) for c in coords.rows])
+    coords = kernel_of_map(f, [unit(f, i) for i in range(len(h_basis))], images)
+    return Subspace.from_vectors(f, g.dim, [combine(f, h_basis, c) for c in coords])
 
 
 def torus_projection(g, d, vectors):
@@ -434,7 +434,7 @@ def test_obstruction_matches_the_torus_projection(slice_cases):
     for name, g, tm, d in slice_cases:
         if d.rank != 3 or classify_delta(d).index in (None, 0) or not is_triangulable(g, d):
             continue
-        got = missing_roots_obstruction(g, tm, d)
+        got = missing_roots_obstruction(g, d)
         assert got == reference_obstruction(g, d), name
         checked.add(got.configuration)
     assert checked == {"Delta1", "Delta2", "Delta3", "Delta4", "Delta6"}
@@ -445,7 +445,7 @@ def test_obstruction_matches_the_torus_projection(slice_cases):
 def test_n_subspace_trivial_brackets_is_whole_root_space():
     g, tm, d = decomposition(f7)
     sigma, delta = 1, 2
-    assert n_subspace(g, tm, d, sigma, delta) == d.roots[sigma]
+    assert n_subspace(g, d, sigma, delta) == d.roots[sigma]
 
 
 def test_n_subspace_excludes_vectors_bracketing_onto_torus():
@@ -458,15 +458,15 @@ def test_n_subspace_excludes_vectors_bracketing_onto_torus():
     sigma = 3
     delta = 4
     assert d.roots[sigma].dim == 2
-    assert n_subspace(g, tm, d, sigma, delta).dim == 0
+    assert n_subspace(g, d, sigma, delta).dim == 0
 
 
 def test_n_subspace_u2_values():
     g, tm, d = decomposition(u2)
     alpha, beta = 1, 2
     # self-brackets of g_alpha land in the nil part, cross brackets vanish
-    assert n_subspace(g, tm, d, alpha, beta) == d.roots[alpha]
-    assert n_subspace(g, tm, d, beta, alpha) == d.roots[beta]
+    assert n_subspace(g, d, alpha, beta) == d.roots[alpha]
+    assert n_subspace(g, d, beta, alpha) == d.roots[beta]
 
 
 def test_n_subspace_shift_identity_randomized():
@@ -480,7 +480,7 @@ def test_n_subspace_shift_identity_randomized():
         delta = roots[rng.randrange(len(roots))]
         if sigma == delta:
             continue
-        assert n_subspace(g, tm, d, sigma, delta) == n_subspace(g, tm, d, sigma, sigma ^ delta)
+        assert n_subspace(g, d, sigma, delta) == n_subspace(g, d, sigma, sigma ^ delta)
         checked += 1
 
 
@@ -488,7 +488,7 @@ def test_n_subspace_rejects_equal_roots():
     g, tm, d = decomposition(f7)
     a = 1
     with pytest.raises(PreconditionError):
-        n_subspace(g, tm, d, a, a)
+        n_subspace(g, d, a, a)
 
 
 # -- the eight constructions -----------------------------------------------------------------
@@ -507,7 +507,7 @@ DISPATCH_CASES = [
 def fire(g, tm, d):
     """The construction the root-space dimensions fire, as the screen builds it."""
     hit = dispatch({lam: sp.dim for lam, sp in d.roots.items()})
-    return None if hit is None else named_construction(g, tm, d, *hit)
+    return None if hit is None else named_construction(g, d, *hit)
 
 
 @pytest.mark.parametrize("dims,lemma,ideal_dim", DISPATCH_CASES)
@@ -541,7 +541,7 @@ def test_construction_u2_fires_n_construction():
     # the building blocks are nontrivial
     alpha = 1
     beta = 2
-    assert n_subspace(g, tm, d, alpha, beta).dim == 2
+    assert n_subspace(g, d, alpha, beta).dim == 2
 
 
 def test_named_construction_last_pattern_direct():
@@ -551,7 +551,7 @@ def test_named_construction_last_pattern_direct():
     # ideal
     g, tm, d = decomposition(lambda: delta0((2, 2, 2, 2, 2, 2, 1)))
     identity = (1, 2, 4)
-    rep = named_construction(g, tm, d, LEMMA_AG_GT_BG, identity)
+    rep = named_construction(g, d, LEMMA_AG_GT_BG, identity)
     assert rep.lemma == LEMMA_AG_GT_BG
     assert rep.subspace.dim == 15
     assert_sound(g, rep)
@@ -560,10 +560,10 @@ def test_named_construction_last_pattern_direct():
 def test_named_construction_refuses_missing_roots_and_non_matrices():
     g, tm, d = decomposition(delta2)
     with pytest.raises(PreconditionError):
-        named_construction(g, tm, d, LEMMA_ALPHA_GT_BETA, (1, 2, 4))
+        named_construction(g, d, LEMMA_ALPHA_GT_BETA, (1, 2, 4))
     g, tm, d = decomposition(f7)
     with pytest.raises(PreconditionError):
-        named_construction(g, tm, d, LEMMA_ALPHA_GT_BETA, (1, 2, 3))  # singular
+        named_construction(g, d, LEMMA_ALPHA_GT_BETA, (1, 2, 3))  # singular
 
 
 def test_dispatch_covers_random_patterns():
@@ -608,20 +608,20 @@ def test_dispatch_determinism_under_relabelling():
 
 def test_obstruction_f6():
     g, tm, d = decomposition(f6)
-    obs = missing_roots_obstruction(g, tm, d)
+    obs = missing_roots_obstruction(g, d)
     assert obs.configuration == "Delta1"
     assert obs.ok and obs.projection_dim == 0 and obs.slice_dim == 0
-    rep = missing_roots_ideal(g, tm, d)
+    rep = missing_roots_ideal(g, d)
     assert rep.subspace.dim == 3
     assert_sound(g, rep)
 
 
 def test_obstruction_delta2():
     g, tm, d = decomposition(delta2)
-    obs = missing_roots_obstruction(g, tm, d)
+    obs = missing_roots_obstruction(g, d)
     assert obs.configuration == "Delta2"
     assert obs.ok and obs.slice_dim == 2 < 3
-    rep = missing_roots_ideal(g, tm, d)
+    rep = missing_roots_ideal(g, d)
     assert_sound(g, rep)
 
 
@@ -657,10 +657,10 @@ def delta2fat():
 def test_obstruction_nontrivial_projection():
     g, tm, d = decomposition(delta2fat)
     assert center(g).dim == 0
-    obs = missing_roots_obstruction(g, tm, d)
+    obs = missing_roots_obstruction(g, d)
     assert obs.configuration == "Delta2"
     assert obs.contained and obs.projection_dim == 1
-    rep = missing_roots_ideal(g, tm, d)
+    rep = missing_roots_ideal(g, d)
     assert_sound(g, rep)
     assert rep.subspace.dim == 6  # t2 plus four root spaces of total dim 5
 
@@ -668,7 +668,7 @@ def test_obstruction_nontrivial_projection():
 def test_obstruction_rejects_delta0():
     g, tm, d = decomposition(f7)
     with pytest.raises(PreconditionError):
-        missing_roots_obstruction(g, tm, d)
+        missing_roots_obstruction(g, d)
 
 
 def test_obstruction_across_configurations():
@@ -681,11 +681,11 @@ def test_obstruction_across_configurations():
     ]
     for build, label, slice_dim in cases:
         g, tm, d = decomposition(build)
-        obs = missing_roots_obstruction(g, tm, d)
+        obs = missing_roots_obstruction(g, d)
         assert obs.configuration == label
         assert obs.slice_dim == slice_dim < d.rank
         assert obs.ok
-        rep = missing_roots_ideal(g, tm, d)
+        rep = missing_roots_ideal(g, d)
         assert_sound(g, rep)
 
 
@@ -760,16 +760,16 @@ def test_screen_passes_on_equal_dims():
 
 def test_oracle_dim_one_and_abelian():
     g = abelian(1)
-    assert not is_simple(g, TwoMap([0])).simple
+    assert not is_simple(g).simple
     g = abelian(3)
-    v = is_simple(g, TwoMap([0, 0, 0]))
+    v = is_simple(g)
     assert not v.simple and v.counterexample is not None
 
 
 def test_oracle_counterexample_generates_proper_ideal():
     for build in (f6, f7, u1, lambda: gl(2)):
         g, tm = build()
-        v = is_simple(g, tm)
+        v = is_simple(g)
         assert not v.simple
         cl = ideal_closure(g, g.subspace([v.counterexample]))
         assert 0 < cl.dim < g.dim and is_ideal(g, cl)
@@ -778,12 +778,12 @@ def test_oracle_counterexample_generates_proper_ideal():
 def test_oracle_budget():
     g = abelian(21)
     with pytest.raises(BudgetExceededError):
-        is_simple(g, TwoMap([0] * 21))
+        is_simple(g)
 
 
 def test_oracle_projective_representatives_over_gf4():
     g, tm = torus(2, k=2)
-    v = is_simple(g, tm)
+    v = is_simple(g)
     assert not v.simple
     assert v.closures_run <= 5  # (16 - 1) / 3 lines
 
@@ -795,7 +795,7 @@ def test_screen_and_oracle_agree():
         g, tm = build()
         res = simplicity_screen(g, tm)
         if g.dim <= 12:
-            verdict = is_simple(g, tm)
+            verdict = is_simple(g)
             if res.verdict == VERDICT_WITNESS:
                 assert not verdict.simple, g.name
             assert not (res.verdict == VERDICT_WITNESS and verdict.simple)
@@ -839,26 +839,26 @@ def _oracle_differential_cases():
 def test_oracle_shortcut_matches_plain_spin():
     # stopping a spin at an earlier generator changes no verdict, count or counterexample
     for g, tm in _oracle_differential_cases():
-        v = is_simple(g, tm)
+        v = is_simple(g)
         assert (v.simple, v.counterexample, v.closures_run) == plain_spin_oracle(g), g.name
 
 
 def test_oracle_positive_control_sl3():
     g, tm = sl(3)
-    v = is_simple(g, tm)
+    v = is_simple(g)
     assert v.simple is True and v.counterexample is None and v.closures_run == 255
 
 
 def test_oracle_positive_control_sl3_over_gf4():
     g, tm = extend_scalars(*sl(3), 2)
-    v = is_simple(g, tm)
+    v = is_simple(g)
     assert v.simple is True and v.closures_run == (4 ** 8 - 1) // 3 == 21845
 
 
 def test_oracle_sl4_counterexample_is_the_centre():
     # basis: the 12 off-diagonal units, then h_p = E_pp + E_(p+1)(p+1) for p = 0, 1, 2
     g, tm = sl(4)
-    v = is_simple(g, tm)
+    v = is_simple(g)
     identity = unit(g.field, 12) | unit(g.field, 14)  # h_0 + h_2
     assert not v.simple and v.counterexample == identity and v.closures_run == 20480
     cl = ideal_closure(g, g.subspace([identity]))
