@@ -33,7 +33,7 @@ from .errors import (
 )
 from .field import GF2k, gf
 from .fileio import dumps, load, loads, save
-from .fixtures import fixture, fixture_names, vacuity_family
+from .fixtures import fixture, vacuity_family
 from .linalg import (
     Matrix,
     Subspace,

@@ -1,11 +1,12 @@
 """Built-in algebra fixtures.
 
-Every generator returns a ``(LieAlgebra, TwoMap)`` pair and self-verifies
-both the Lie axioms and the squaring axioms before returning, so the rest
-of the suite never trusts construction code.  The graded families follow
-one recipe: a torus t_1, t_2, t_3 acts diagonally on labelled root vectors,
-``[t_i, x_lam] = lam(t_i) x_lam``, with all torus elements toral and the
-root vectors squaring to zero unless stated otherwise.
+Every generator returns a ``(LieAlgebra, TwoMap)`` pair whose Lie and
+squaring axioms hold by construction; nothing is re-checked at build time,
+and the test suite runs both axiom checks on the output of every generator.
+The graded families follow one recipe (:func:`graded`): a torus t_1, t_2,
+t_3 acts diagonally on labelled root vectors, ``[t_i, x_lam] = lam(t_i)
+x_lam``, with all torus elements toral and the root vectors squaring to
+zero.  Out-of-range parameters raise :class:`lie2.errors.FixtureError`.
 
 Main families
 -------------
@@ -28,101 +29,64 @@ Main families
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from .algebra import LieAlgebra
 from .errors import FixtureError
 from .field import gf
 from .linalg import solve, unit, vector
-from .restricted import TwoMap, verify_two_map
+from .restricted import TwoMap
 
 ROOT_ORDER = (1, 2, 3, 4, 5, 6, 7)  # 3-bit root labels, bit i = value on t_{i+1}
 
 
-def _verified(g: LieAlgebra, tm: TwoMap):
-    rep = g.verify()
-    if not rep.ok:
-        raise FixtureError(f"fixture {g.name} fails the Lie axioms: {rep}")
-    rep2 = verify_two_map(g, tm)
-    if not rep2.ok:
-        raise FixtureError(f"fixture {g.name} fails the squaring axioms: {rep2}")
-    return g, tm
-
-
-def _root_value(lam: int, i: int) -> int:
-    return (lam >> i) & 1
-
-
-class _GradedBuilder:
-    """Torus plus labelled root vectors; fills in the diagonal action."""
-
-    def __init__(self, dims, nil_dim=0, name=""):
-        self.f = gf(1)
-        self.dims = dims  # root label (1..7) -> dimension
-        self.index = {}
-        idx = 0
-        for i in range(3):
-            self.index[("t", i)] = idx
-            idx += 1
-        for j in range(nil_dim):
-            self.index[("z", j)] = idx
-            idx += 1
-        for lam in ROOT_ORDER:
-            for j in range(dims.get(lam, 0)):
-                self.index[(lam, j)] = idx
-                idx += 1
-        self.dim = idx
-        self.name = name
-        self.pairs = {}
-        # diagonal torus action on every root vector
-        for key, pos in self.index.items():
-            tag = key[0]
-            if tag in ("t", "z"):
-                continue
-            lam = tag
-            for i in range(3):
-                if _root_value(lam, i):
-                    self._set(self.index[("t", i)], pos, unit(self.f, pos))
-
-    def _set(self, i, j, value):
-        if i == j:
-            raise FixtureError("diagonal bracket entry")
-        a, b = min(i, j), max(i, j)
-        self.pairs[(a, b)] = value
-
-    def e(self, key):
-        return unit(self.f, self.index[key])
-
-    def set_bracket(self, key_a, key_b, value):
-        self._set(self.index[key_a], self.index[key_b], value)
-
-    def build(self, squares=None):
-        images = [0] * self.dim
-        for i in range(3):
-            images[self.index[("t", i)]] = self.e(("t", i))
-        for key, val in (squares or {}).items():
-            images[self.index[key]] = val
-        g = LieAlgebra.from_pairs(self.f, self.dim, self.pairs, self.name)
-        return _verified(g, TwoMap(images))
-
-
-def graded(dims_by_root, nil_dim: int = 0, name: str | None = None):
+def graded(dims_by_root, nil_dim: int = 0, name: str | None = None, extra=()):
     """Rank-3 torus acting diagonally on root spaces of prescribed dimension.
 
-    ``dims_by_root`` maps 3-bit root labels (1..7) to dimensions; cross
-    brackets are trivial.  The workhorse behind several shipped fixtures,
-    exposed for building custom root configurations.
+    ``dims_by_root`` maps 3-bit root labels (1..7) to dimensions.  The basis
+    is t_0, t_1, t_2 (toral), then ``nil_dim`` vectors z_j that the torus
+    kills, then the root vectors in label order; everything but the torus
+    squares to zero.  ``extra`` lists further brackets ``(a, b, c)`` meaning
+    [a, b] = c, with basis keys ``("t", i)``, ``("z", j)`` or ``(root, j)``;
+    all other cross brackets are trivial.  Like
+    :meth:`LieAlgebra.from_pairs`, the extra brackets are taken as given,
+    not verified: a caller who passes them vouches for the axioms, which
+    :func:`lie2.algebra.verify_lie` and :func:`lie2.restricted.verify_two_map`
+    check.
     """
-    b = _GradedBuilder(dict(dims_by_root), nil_dim=nil_dim,
-                       name=name or "graded")
-    return b.build()
+    dims = dict(dims_by_root)
+    if not set(dims) <= set(ROOT_ORDER):
+        raise FixtureError(f"root labels must lie in 1..7, got {list(dims)}")
+    if nil_dim < 0 or any(dim < 0 for dim in dims.values()):
+        raise FixtureError("root-space dimensions and nil_dim must be nonnegative")
+    f = gf(1)
+    index = {("t", i): i for i in range(3)}
+    for j in range(nil_dim):
+        index[("z", j)] = len(index)
+    pairs = {}
+    for lam in ROOT_ORDER:
+        for j in range(dims.get(lam, 0)):
+            pos = index[(lam, j)] = len(index)
+            for i in range(3):
+                if (lam >> i) & 1:
+                    pairs[(i, pos)] = unit(f, pos)
+    for a, b, c in extra:
+        i, j = index[a], index[b]
+        pairs[(min(i, j), max(i, j))] = unit(f, index[c])
+    n = len(index)
+    g = LieAlgebra.from_pairs(f, n, pairs, name or "graded")
+    return g, TwoMap([unit(f, i) for i in range(3)] + [0] * (n - 3))
 
 
 def torus(r: int, k: int = 1):
     """Abelian algebra of dimension r whose basis is toral."""
+    if r < 0:
+        raise FixtureError("torus(r) needs r >= 0")
+    if not 1 <= k <= 16:
+        raise FixtureError("torus(r, k) supported for 1 <= k <= 16")
     f = gf(k)
     g = LieAlgebra(f, r, [[0] * r for _ in range(r)], f"torus{r}" if k == 1 else f"torus{r}@k{k}")
-    return _verified(g, TwoMap([unit(f, i) for i in range(r)]))
+    return g, TwoMap([unit(f, i) for i in range(r)])
 
 
 def f6():
@@ -139,9 +103,8 @@ def f7():
 
 def delta2():
     """Four roots: the product [g_alpha, g_beta] feeds g_{alpha+beta}."""
-    b = _GradedBuilder({1: 1, 2: 1, 4: 1, 3: 1}, name="delta2")
-    b.set_bracket((1, 0), (2, 0), b.e((3, 0)))
-    return b.build()
+    return graded({1: 1, 2: 1, 4: 1, 3: 1}, name="delta2",
+                  extra=[((1, 0), (2, 0), (3, 0))])
 
 
 def u1():
@@ -157,16 +120,12 @@ def u2():
     [x1, y1] = p and [x2, p] = y2 through g_{alpha+gamma}.  The result is
     centerless and triangulable with root dimensions (2,2,2,2,1,1,1).
     """
-    b = _GradedBuilder({1: 2, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1}, nil_dim=1, name="u2")
     x1, x2 = (1, 0), (1, 1)
     y1, y2 = (4, 0), (4, 1)
     p = (5, 0)
     z = ("z", 0)
-    b.set_bracket(x1, x2, b.e(z))
-    b.set_bracket(z, y1, b.e(y2))
-    b.set_bracket(x1, y1, b.e(p))
-    b.set_bracket(x2, p, b.e(y2))
-    return b.build()
+    return graded({1: 2, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1, 7: 1}, nil_dim=1, name="u2",
+                  extra=[(x1, x2, z), (z, y1, y2), (x1, y1, p), (x2, p, y2)])
 
 
 def delta0(dims, name=None):
@@ -187,7 +146,7 @@ def rank2sq():
         (2, 3): w, (2, 4): y, (3, 4): x,
     }
     g = LieAlgebra.from_pairs(f, 5, pairs, "rank2sq")
-    return _verified(g, TwoMap([t1, t2, t2, t1, t1 ^ t2]))
+    return g, TwoMap([t1, t2, t2, t1, t1 ^ t2])
 
 
 def gltor():
@@ -199,7 +158,7 @@ def gltor():
         (4, 5): u,
     }
     g = LieAlgebra.from_pairs(f, 6, pairs, "gltor")
-    return _verified(g, TwoMap([e11, 0, 0, e22, t3, 0]))
+    return g, TwoMap([e11, 0, 0, e22, t3, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +185,9 @@ def _from_matrix_basis(mats, n, name):
     """Structure constants for a bracket-closed space of n x n GF(2) matrices."""
     f = gf(1)
     dim = len(mats)
-    basis = [m for m in mats]
 
     def coords(m):
-        c = solve(f, basis, m)
+        c = solve(f, mats, m)
         if c is None:
             raise FixtureError(f"{name}: commutator leaves the span")
         return c
@@ -242,8 +200,7 @@ def _from_matrix_basis(mats, n, name):
             table[i][j] = v
             table[j][i] = v
     images = [coords(_mat_mul2(m, m, n)) for m in mats]
-    g = LieAlgebra(f, dim, table, name)
-    return _verified(g, TwoMap(images))
+    return LieAlgebra(f, dim, table, name), TwoMap(images)
 
 
 def gl(n: int):
@@ -287,8 +244,7 @@ def witt(m: int):
     for a in range(dim):
         if a % 2 == 1 and 2 * a - 1 < dim:
             images[a] = unit(f, 2 * a - 1)
-    g = LieAlgebra.from_pairs(f, dim, pairs, f"witt{m}")
-    return _verified(g, TwoMap(images))
+    return LieAlgebra.from_pairs(f, dim, pairs, f"witt{m}"), TwoMap(images)
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +255,12 @@ def permute_basis(g: LieAlgebra, tm: TwoMap, perm, name=None):
     """The same algebra with basis b'_i = b_{perm[i]}.
 
     Useful for exercising basis-change searches: the relabelled algebra is
-    isomorphic but its root data appear shuffled.
+    isomorphic but its root data appear shuffled.  A pure relabelling, like
+    :func:`lie2.restricted.extend_scalars`: the axioms carry over unchanged.
     """
     f, n = g.field, g.dim
     if sorted(perm) != list(range(n)):
         raise FixtureError("perm must be a permutation of range(dim)")
-    inv = [0] * n
-    for i, p in enumerate(perm):
-        inv[p] = i
 
     def relabel(v):
         return vector(f, [  # coordinate i of new vector = old coordinate perm[i]
@@ -315,8 +269,7 @@ def permute_basis(g: LieAlgebra, tm: TwoMap, perm, name=None):
 
     table = [[relabel(g.table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
     g2 = LieAlgebra(f, n, table, name or f"{g.name}_perm")
-    tm2 = TwoMap([relabel(tm.images[perm[i]]) for i in range(n)])
-    return _verified(g2, tm2)
+    return g2, TwoMap([relabel(tm.images[perm[i]]) for i in range(n)])
 
 
 def vacuity_family():
@@ -328,10 +281,8 @@ def vacuity_family():
     relabellings of u2.  The screening suite checks that none is simple and
     each yields a verified witness ideal.
     """
-    from itertools import product as _product
-
     out = []
-    for dims in _product((1, 2), repeat=7):
+    for dims in product((1, 2), repeat=7):
         if dims == (2,) * 7:
             continue
         out.append(("pattern" + "".join(map(str, dims)), lambda d=dims: delta0(d)))
@@ -346,13 +297,6 @@ def vacuity_family():
     ]:
         out.append(("pattern" + "".join(map(str, dims)), lambda d=dims: delta0(d)))
     out.append(("u2", u2))
-
-    def _u2_perm(perm, tag):
-        def build():
-            g, tm = u2()
-            return permute_basis(g, tm, perm, name=f"u2_{tag}")
-        return build
-
     n = 15
     perms = [
         list(reversed(range(n))),
@@ -362,7 +306,8 @@ def vacuity_family():
         [n - 1] + list(range(n - 1)),
     ]
     for t, perm in enumerate(perms):
-        out.append((f"u2_perm{t}", _u2_perm(perm, f"perm{t}")))
+        out.append((f"u2_perm{t}",
+                    lambda p=perm, t=t: permute_basis(*u2(), p, name=f"u2_perm{t}")))
     return out
 
 
@@ -391,7 +336,3 @@ def fixture(name: str, **params):
         return _FIXTURES[name](**params)
     except TypeError as exc:
         raise FixtureError(f"bad parameters for fixture {name!r}: {exc}") from None
-
-
-def fixture_names():
-    return sorted(_FIXTURES)

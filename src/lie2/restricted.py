@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from .algebra import LieAlgebra, bracket_span
 from .errors import PreconditionError
+from .field import gf
 from .linalg import Subspace, _reduce, rref_rows, unit, vscale
 
 
@@ -230,8 +231,6 @@ def extend_scalars(g: LieAlgebra, tm: TwoMap, k: int):
     every extension, whereas embedding a proper extension into another
     would depend on a choice of field homomorphism.
     """
-    from .field import gf  # local to avoid import cycles in tooling
-
     if g.field.k != 1:
         raise PreconditionError("scalar extension is implemented from GF(2) only")
     f2 = gf(k)

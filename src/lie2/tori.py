@@ -80,7 +80,7 @@ def _xor_into(tables, v, mask):
         v ^= low
 
 
-def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS):
+def toral_elements(g: LieAlgebra, tm: TwoMap):
     """All nonzero t with t^[2] = t, by exhaustive enumeration, sorted ascending.
 
     Over the k*n raw bits x_a of a vector, F(x) = x^[2] + x is quadratic:
@@ -98,9 +98,9 @@ def toral_elements(g: LieAlgebra, tm: TwoMap, budget_bits: int = TORAL_ENUM_BITS
     """
     f, n = g.field, g.dim
     bits = f.k * n
-    if bits > budget_bits:
+    if bits > TORAL_ENUM_BITS:
         raise BudgetExceededError(
-            f"toral enumeration needs 2^{bits} candidates, budget is 2^{budget_bits}"
+            f"toral enumeration needs 2^{bits} candidates, budget is 2^{TORAL_ENUM_BITS}"
         )
     k, table = f.k, g.raw
     lin = [s ^ (1 << a) for a, s in enumerate(_raw_images(g, tm))]  # F(u_a)
