@@ -37,7 +37,7 @@ for b in t.toral_basis:
 print()
 print("== field-relative rank =========================================")
 f2 = gf(1)
-twisted = LieAlgebra(f2, 2, [[0, 0], [0, 0]], "twisted")
+twisted = LieAlgebra(f2, 2, {}, "twisted")
 tmt = TwoMap([unit(f2, 1), unit(f2, 0) ^ unit(f2, 1)])  # e1 -> e2 -> e1+e2
 for k in (1, 2, 3):
     gk, tmk = extend_scalars(twisted, tmt, k)

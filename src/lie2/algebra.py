@@ -2,10 +2,12 @@
 
 The bracket of an n-dimensional algebra is stored as an n x n table of
 packed vectors: ``table[i][j]`` is [b_i, b_j] expressed in the basis.  In
-characteristic 2 the bracket is alternating with ``[x, y] = [y, x]``, so a
-valid table has zero diagonal and is symmetric; :func:`verify_lie` reports
-every violation of that shape and of the Jacobi identity instead of
-assuming it, which lets deliberately corrupted tensors be inspected.
+characteristic 2 the bracket is alternating with ``[x, y] = [y, x]``, so the
+table has zero diagonal and is symmetric.  :class:`LieAlgebra` is built from
+the entries with i < j only and mirrors them, so every algebra has that
+shape by construction; :func:`verify_lie` checks the Jacobi identity on all
+triples and reports every violation instead of assuming it, which lets
+deliberately corrupted tensors be inspected.
 
 A vector over GF(2^k) is an int of k*n raw bits, and the bracket is
 GF(2)-bilinear in them: for every k it sums entries of :attr:`LieAlgebra.raw`,
@@ -31,58 +33,43 @@ from .linalg import (
 
 
 class LieReport:
-    """Outcome of :func:`verify_lie`: empty lists mean a valid Lie algebra."""
+    """Outcome of :func:`verify_lie`: an empty list means a valid Lie algebra."""
 
-    def __init__(self, alternating, symmetry, jacobi):
-        self.alternating_violations = alternating  # [(i,)] with c_ii != 0
-        self.symmetry_violations = symmetry        # [(i, j)] with c_ij != c_ji
-        self.jacobi_violations = jacobi            # [(i, j, l)]
+    def __init__(self, jacobi):
+        self.jacobi_violations = jacobi  # [(i, j, l)]
 
     @property
     def ok(self) -> bool:
-        return not (
-            self.alternating_violations or self.symmetry_violations or self.jacobi_violations
-        )
+        return not self.jacobi_violations
 
     def __repr__(self):
         if self.ok:
             return "LieReport(ok)"
-        return (
-            f"LieReport(alternating={self.alternating_violations}, "
-            f"symmetry={self.symmetry_violations}, jacobi={self.jacobi_violations})"
-        )
+        return f"LieReport(jacobi={self.jacobi_violations})"
 
 
 class LieAlgebra:
-    """An algebra with a bilinear bracket, fixed by its structure table."""
+    """An algebra with an alternating bilinear bracket, fixed by its structure table.
+
+    ``pairs`` maps (i, j) with 0 <= i < j < dim to the packed vector
+    [b_i, b_j]; absent pairs are zero.  ``table`` mirrors each entry
+    (characteristic 2: c_ij = c_ji) and has a zero diagonal.
+    """
 
     __slots__ = ("field", "dim", "name", "table", "_raw")
 
-    def __init__(self, field: GF2k, dim: int, table, name: str | None = None):
-        self.field = field
-        self.dim = dim
-        self.name = name
-        self.table = tuple(tuple(row) for row in table)
-        if len(self.table) != dim or any(len(r) != dim for r in self.table):
-            raise ValueError("structure table must be dim x dim")
-        self._raw = self.table if field.k == 1 else None
-
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def from_pairs(cls, field, dim, pairs, name=None) -> "LieAlgebra":
-        """Build from sparse upper-triangular data {(i, j): packed vector}.
-
-        Only i < j entries are accepted; the mirror entries are filled in
-        (characteristic 2: c_ij = c_ji) and the diagonal is zero.
-        """
+    def __init__(self, field: GF2k, dim: int, pairs, name: str | None = None):
         table = [[0] * dim for _ in range(dim)]
         for (i, j), v in pairs.items():
             if not 0 <= i < j < dim:
                 raise ValueError(f"need 0 <= i < j < dim, got ({i}, {j})")
             table[i][j] = v
             table[j][i] = v
-        return cls(field, dim, table, name)
+        self.field = field
+        self.dim = dim
+        self.name = name
+        self.table = tuple(tuple(row) for row in table)
+        self._raw = self.table if field.k == 1 else None
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'unnamed'}, dim {self.dim} over {self.field})"
@@ -136,12 +123,8 @@ class LieAlgebra:
     # -- verification --------------------------------------------------------
 
     def verify(self) -> LieReport:
-        """Exhaustively check the alternating shape and Jacobi on all triples."""
+        """Exhaustively check the Jacobi identity on all triples."""
         n, table = self.dim, self.table
-        alternating = [(i,) for i in range(n) if table[i][i] != 0]
-        symmetry = [
-            (i, j) for i in range(n) for j in range(i + 1, n) if table[i][j] != table[j][i]
-        ]
         jacobi = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -154,7 +137,7 @@ class LieAlgebra:
                     )
                     if s:
                         jacobi.append((i, j, l))
-        return LieReport(alternating, symmetry, jacobi)
+        return LieReport(jacobi)
 
 
 def verify_lie(g: LieAlgebra) -> LieReport:
@@ -265,4 +248,4 @@ def acts_nilpotently(g: LieAlgebra, s: Subspace) -> bool:
 def abelian(n: int, k: int = 1, name: str | None = None) -> LieAlgebra:
     """The abelian algebra of dimension n."""
     f = gf(k)
-    return LieAlgebra(f, n, [[0] * n for _ in range(n)], name or f"abelian{n}")
+    return LieAlgebra(f, n, {}, name or f"abelian{n}")

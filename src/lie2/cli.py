@@ -9,23 +9,8 @@ Subcommands::
     lie2 simple <file> [--budget N]
     lie2 paper-suite [--fixtures DIR]
 
-Exit codes, for every subcommand:
-
-    ====  ==============================================================
-    0     success; ``verify``: both axiom suites are clean; ``screen``:
-          PassesNecessaryConditions; ``paper-suite``: every check passes
-    1     ``verify``: an axiom fails; ``paper-suite``: a check fails
-    2     refused input: a malformed, unreadable or non-ASCII file, a
-          ``paper-suite --fixtures`` path that is not a directory, or a
-          refused budget (``rank`` reports a refused field degree and goes
-          on, exiting 2 only when every degree is refused)
-    3     a proved containment failed (ContradictionError): a defect in
-          the program, or an input corrupted after verification
-    10    ``screen``: NotSimpleWitness
-    20    ``screen``: OutOfScope
-    141   stdout was closed before the output was written (a reader such
-          as ``head`` exited early); 128 + SIGPIPE, as a shell reports it
-    ====  ==============================================================
+Exit codes are the same for every subcommand; README.md ("Command line")
+holds their one table.
 
 ``decompose --field-degree`` accepts 0 (keep the file's field) or 1..16,
 ``rank --max-field-degree`` 1..16 and ``simple --budget`` any N >= 1; a
@@ -98,8 +83,9 @@ def cmd_verify(args) -> int:
             "field_degree": g.field.k,
             "lie_ok": lie.ok,
             "two_map_ok": two.ok,
-            "alternating_violations": lie.alternating_violations,
-            "symmetry_violations": lie.symmetry_violations,
+            # always empty, as every LieAlgebra is alternating; kept so the report keeps its keys
+            "alternating_violations": [],
+            "symmetry_violations": [],
             "jacobi_violations": lie.jacobi_violations,
             "adjoint_violations": [[_fmt_vec(g, v), j] for v, j in two.adjoint_violations],
         }, sort_keys=True))

@@ -187,7 +187,7 @@ def loads(text: str):
         first = next(i for i in range(dim) if i not in twomap)
         raise FileFormatError(last, "Malformed",
                               f"{dim - len(twomap)} twomap lines missing, the first for index {first}")
-    g = LieAlgebra.from_pairs(gf(degree), dim, brackets, name)
+    g = LieAlgebra(gf(degree), dim, brackets, name)
     return g, TwoMap([twomap[i] for i in range(dim)])
 
 

@@ -48,9 +48,9 @@ def graded(dims_by_root, nil_dim: int = 0, name: str | None = None, extra=()):
     kills, then the root vectors in label order; everything but the torus
     squares to zero.  ``extra`` lists further brackets ``(a, b, c)`` meaning
     [a, b] = c, with basis keys ``("t", i)``, ``("z", j)`` or ``(root, j)``;
-    all other cross brackets are trivial.  Like
-    :meth:`LieAlgebra.from_pairs`, the extra brackets are taken as given,
-    not verified: a caller who passes them vouches for the axioms, which
+    all other cross brackets are trivial.  Like the pairs of
+    :class:`LieAlgebra`, the extra brackets are taken as given, not
+    verified: a caller who passes them vouches for the axioms, which
     :func:`lie2.algebra.verify_lie` and :func:`lie2.restricted.verify_two_map`
     check.
     """
@@ -74,7 +74,7 @@ def graded(dims_by_root, nil_dim: int = 0, name: str | None = None, extra=()):
         i, j = index[a], index[b]
         pairs[(min(i, j), max(i, j))] = unit(f, index[c])
     n = len(index)
-    g = LieAlgebra.from_pairs(f, n, pairs, name or "graded")
+    g = LieAlgebra(f, n, pairs, name or "graded")
     return g, TwoMap([unit(f, i) for i in range(3)] + [0] * (n - 3))
 
 
@@ -85,7 +85,7 @@ def torus(r: int, k: int = 1):
     if not 1 <= k <= 16:
         raise FixtureError("torus(r, k) supported for 1 <= k <= 16")
     f = gf(k)
-    g = LieAlgebra(f, r, [[0] * r for _ in range(r)], f"torus{r}" if k == 1 else f"torus{r}@k{k}")
+    g = LieAlgebra(f, r, {}, f"torus{r}" if k == 1 else f"torus{r}@k{k}")
     return g, TwoMap([unit(f, i) for i in range(r)])
 
 
@@ -145,7 +145,7 @@ def rank2sq():
         (0, 2): x, (1, 3): y, (0, 4): w, (1, 4): w,
         (2, 3): w, (2, 4): y, (3, 4): x,
     }
-    g = LieAlgebra.from_pairs(f, 5, pairs, "rank2sq")
+    g = LieAlgebra(f, 5, pairs, "rank2sq")
     return g, TwoMap([t1, t2, t2, t1, t1 ^ t2])
 
 
@@ -157,7 +157,7 @@ def gltor():
         (0, 1): e12, (0, 2): e21, (1, 2): e11 ^ e22, (1, 3): e12, (2, 3): e21,
         (4, 5): u,
     }
-    g = LieAlgebra.from_pairs(f, 6, pairs, "gltor")
+    g = LieAlgebra(f, 6, pairs, "gltor")
     return g, TwoMap([e11, 0, 0, e22, t3, 0])
 
 
@@ -192,15 +192,12 @@ def _from_matrix_basis(mats, n, name):
             raise FixtureError(f"{name}: commutator leaves the span")
         return c
 
-    table = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            comm = _mat_mul2(mats[i], mats[j], n) ^ _mat_mul2(mats[j], mats[i], n)
-            v = coords(comm)
-            table[i][j] = v
-            table[j][i] = v
+    pairs = {
+        (i, j): coords(_mat_mul2(mats[i], mats[j], n) ^ _mat_mul2(mats[j], mats[i], n))
+        for i, j in combinations(range(dim), 2)
+    }
     images = [coords(_mat_mul2(m, m, n)) for m in mats]
-    return LieAlgebra(f, dim, table, name), TwoMap(images)
+    return LieAlgebra(f, dim, pairs, name), TwoMap(images)
 
 
 def gl(n: int):
@@ -244,7 +241,7 @@ def witt(m: int):
     for a in range(dim):
         if a % 2 == 1 and 2 * a - 1 < dim:
             images[a] = unit(f, 2 * a - 1)
-    return LieAlgebra.from_pairs(f, dim, pairs, f"witt{m}"), TwoMap(images)
+    return LieAlgebra(f, dim, pairs, f"witt{m}"), TwoMap(images)
 
 
 # ---------------------------------------------------------------------------
@@ -267,8 +264,8 @@ def permute_basis(g: LieAlgebra, tm: TwoMap, perm, name=None):
             (v >> (perm[i] * f.k)) & f.mask for i in range(n)
         ])
 
-    table = [[relabel(g.table[perm[i]][perm[j]]) for j in range(n)] for i in range(n)]
-    g2 = LieAlgebra(f, n, table, name or f"{g.name}_perm")
+    pairs = {(i, j): relabel(g.table[perm[i]][perm[j]]) for i, j in combinations(range(n), 2)}
+    g2 = LieAlgebra(f, n, pairs, name or f"{g.name}_perm")
     return g2, TwoMap([relabel(tm.images[perm[i]]) for i in range(n)])
 
 

@@ -8,9 +8,9 @@ A 2-map is determined by the images of the basis vectors: for
 so :func:`square` evaluates that extension rule, on the raw bits of x for
 every k (:attr:`lie2.algebra.LieAlgebra.raw`).  The scalar axiom
 ``(c x)^[2] = c^2 x^[2]`` holds by construction, and so does the sum axiom
-``(x+y)^[2] = x^[2] + y^[2] + [x, y]`` on every table that is alternating
-and symmetric, which :func:`lie2.algebra.verify_lie` checks and the file
-format enforces; both identities are property tests of :func:`square`, not
+``(x+y)^[2] = x^[2] + y^[2] + [x, y]``, on every
+:class:`~lie2.algebra.LieAlgebra`, whose table is alternating and symmetric
+by construction; both identities are property tests of :func:`square`, not
 runtime checks.  What genuinely needs checking is the adjoint axiom
 ``ad(x^[2]) = ad(x)^2``; its defect is additive once the Jacobi identity
 holds (the cross terms cancel) and scales by c^2, so the basis vectors
@@ -246,7 +246,7 @@ def extend_scalars(g: LieAlgebra, tm: TwoMap, k: int):
             i += 1
         return out
 
-    table = [[spread(e) for e in row] for row in g.table]
-    g2 = LieAlgebra(f2, g.dim, table, g.name)
+    pairs = {(i, j): spread(g.table[i][j]) for i in range(g.dim) for j in range(i + 1, g.dim)}
+    g2 = LieAlgebra(f2, g.dim, pairs, g.name)
     return g2, TwoMap([spread(x) for x in tm.images])
 

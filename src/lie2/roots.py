@@ -88,7 +88,7 @@ class RootDecomposition:
 
 
 def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
-    """Split h into the torus and its 2-nilpotent complement.
+    """The 2-nilpotent complement n of the torus t in h, as a subspace.
 
     If h = t + n with [t, n] = 0 and n 2-nilpotent, then x = a + b (a in t,
     b in n) is the Jordan-Chevalley decomposition of x, so n is spanned by
@@ -118,7 +118,7 @@ def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
         raise SplitFailureError("2-nilpotent part does not complement the torus in h")
     if bracket_span(g, t.subspace, n_sub).dim != 0:
         raise SplitFailureError("torus does not commute with the 2-nilpotent part")
-    return t.subspace, n_sub
+    return n_sub
 
 
 def root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition:
@@ -160,8 +160,7 @@ def root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition
                 f"eigenspace dimensions sum to {total} != {n}; basis is not toral"
             )
     cartan = spaces.pop(0)
-    t_sub, n_sub = split_cartan(g, tm, cartan, t)
-    return RootDecomposition(t, cartan, n_sub, spaces)
+    return RootDecomposition(t, cartan, split_cartan(g, tm, cartan, t), spaces)
 
 
 # ---------------------------------------------------------------------------

@@ -103,27 +103,24 @@ def test_verify_lie_reports():
     assert verify_lie(g).ok
 
 
-def test_verify_lie_catches_asymmetric_entry():
-    # c_12^1 = 1 but c_21^1 = 0: symmetry violation at (0, 1)
-    table = [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
-    g = LieAlgebra(F2, 3, table)
-    rep = verify_lie(g)
-    assert not rep.ok
-    assert (0, 1) in rep.symmetry_violations
+@pytest.mark.parametrize("pair", [(0, 0), (2, 2), (1, 0), (2, 1), (1, 3), (3, 4), (-1, 1)])
+def test_lie_algebra_takes_only_the_upper_triangle(pair):
+    # a diagonal, lower-triangular or out-of-range entry is refused, so every
+    # table is alternating (zero diagonal, symmetric) by construction
+    with pytest.raises(ValueError, match=r"need 0 <= i < j < dim"):
+        LieAlgebra(F2, 3, {pair: 1})
 
 
-def test_verify_lie_catches_diagonal_entry():
-    table = [[1, 0], [0, 0]]
-    g = LieAlgebra(F2, 2, table)
-    rep = verify_lie(g)
-    assert rep.alternating_violations == [(0,)]
+def test_lie_algebra_mirrors_the_upper_triangle():
+    g = LieAlgebra(F2, 3, {(0, 1): 4, (1, 2): 1})
+    assert g.table == ((0, 4, 0), (4, 0, 1), (0, 1, 0))
 
 
 def test_verify_lie_catches_jacobi_failure():
     # [e0,e1]=e3, [e0,e2]=0, [e1,e2]=e0: [[e0,e1],e2]+[[e1,e2],e0]+[[e2,e0],e1] = [e3,e2]
     f = F2
     pairs = {(0, 1): unit(f, 3), (1, 2): unit(f, 0), (2, 3): unit(f, 1)}
-    g = LieAlgebra.from_pairs(f, 4, pairs)
+    g = LieAlgebra(f, 4, pairs)
     rep = verify_lie(g)
     assert not rep.ok and rep.jacobi_violations
 

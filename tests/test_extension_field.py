@@ -21,6 +21,7 @@ from lie2.algebra import LieAlgebra
 from lie2.cli import _suite_corpus
 from lie2.errors import BudgetExceededError
 from lie2.field import gf
+from lie2.fixtures import permute_basis
 from lie2.linalg import vget, vscale
 from lie2.restricted import TwoMap
 from lie2.screening import VERDICT_WITNESS
@@ -91,37 +92,70 @@ def _coordinate_square(g, tm, x):
     return acc
 
 
-def _random_table(rng, n, bits, shape):
-    """A valid (zero diagonal, symmetric) table, or one that breaks that shape."""
-    table = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            table[i][j] = table[j][i] = rng.getrandbits(bits) if rng.random() < 0.6 else 0
-    if shape in ("diagonal", "both"):
-        for i in range(n):
-            table[i][i] = rng.getrandbits(bits)
-    if shape in ("asymmetric", "both"):
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < 0.5:
-                    table[j][i] = rng.getrandbits(bits)
-    return table
+def _random_pairs(rng, n, bits):
+    """Random brackets [b_i, b_j], i < j, about 60% of them nonzero."""
+    return {
+        (i, j): rng.getrandbits(bits) if rng.random() < 0.6 else 0
+        for i in range(n) for j in range(i + 1, n)
+    }
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
-@pytest.mark.parametrize("shape", ["valid", "diagonal", "asymmetric", "both"])
-def test_raw_bracket_and_square_match_coordinate_rule_on_random_tables(k, shape):
-    rng = random.Random(1000 * k + len(shape))
+def test_raw_bracket_and_square_match_coordinate_rule_on_random_tables(k):
+    rng = random.Random(1000 * k)
     f = gf(k)
-    for _ in range(25):
+    for _ in range(100):
         n = rng.randint(1, 5)
         bits = k * n
-        g = LieAlgebra(f, n, _random_table(rng, n, bits, shape))
+        g = LieAlgebra(f, n, _random_pairs(rng, n, bits))
         tm = TwoMap([rng.getrandbits(bits) for _ in range(n)])
         for _ in range(8):
             x, y = rng.getrandbits(bits), rng.getrandbits(bits)
-            assert g.bracket(x, y) == _coordinate_bracket(g, x, y), (k, shape, x, y)
-            assert square(g, tm, x) == _coordinate_square(g, tm, x), (k, shape, x)
+            assert g.bracket(x, y) == _coordinate_bracket(g, x, y), (k, x, y)
+            assert square(g, tm, x) == _coordinate_square(g, tm, x), (k, x)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_permute_basis_relabels_bracket_and_square_on_random_tables(k):
+    # permute_basis builds the new table from its upper triangle only; the
+    # relabelling must still carry every bracket and square over
+    rng = random.Random(2000 + k)
+    f = gf(k)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        bits = k * n
+        g = LieAlgebra(f, n, _random_pairs(rng, n, bits))
+        tm = TwoMap([rng.getrandbits(bits) for _ in range(n)])
+        perm = rng.sample(range(n), n)
+        g2, tm2 = permute_basis(g, tm, perm)
+
+        def relabel(v):
+            return sum(vget(f, v, perm[i]) << (i * k) for i in range(n))
+
+        for _ in range(8):
+            x, y = rng.getrandbits(bits), rng.getrandbits(bits)
+            assert g2.bracket(relabel(x), relabel(y)) == relabel(g.bracket(x, y)), (k, perm)
+            assert square(g2, tm2, relabel(x)) == relabel(square(g, tm, x)), (k, perm)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_extend_scalars_embeds_bracket_and_square_on_random_tables(k):
+    # over GF(2^k) a GF(2) vector has coordinates 0 and 1; its brackets and
+    # squares are the embedded GF(2) ones
+    rng = random.Random(3000 + k)
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        g = LieAlgebra(gf(1), n, _random_pairs(rng, n, n))
+        tm = TwoMap([rng.getrandbits(n) for _ in range(n)])
+        g2, tm2 = extend_scalars(g, tm, k)
+
+        def spread(v):
+            return sum(((v >> i) & 1) << (i * k) for i in range(n))
+
+        for _ in range(8):
+            x, y = rng.getrandbits(n), rng.getrandbits(n)
+            assert g2.bracket(spread(x), spread(y)) == spread(g.bracket(x, y)), k
+            assert square(g2, tm2, spread(x)) == spread(square(g, tm, x)), k
 
 
 @pytest.mark.parametrize("k", [2, 3])

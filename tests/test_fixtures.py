@@ -81,7 +81,7 @@ class ReferenceGradedBuilder:
         images = [0] * self.dim
         for i in range(3):
             images[self.index[("t", i)]] = self.e(("t", i))
-        g = LieAlgebra.from_pairs(self.f, self.dim, self.pairs, self.name)
+        g = LieAlgebra(self.f, self.dim, self.pairs, self.name)
         return g, TwoMap(images)
 
 

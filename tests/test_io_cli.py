@@ -18,6 +18,11 @@ from lie2.restricted import TwoMap
 GOOD_HEADER = "lie2algebra 1\nname t\ndim 2\nfield_degree 1\n"
 
 
+def upper_pairs(g):
+    """The brackets [b_i, b_j], i < j, that build g."""
+    return {(i, j): g.table[i][j] for i in range(g.dim) for j in range(i + 1, g.dim)}
+
+
 def roundtrip(build):
     g, tm = build() if callable(build) else build
     text = dumps(g, tm)
@@ -50,7 +55,7 @@ def test_save_load_file(tmp_path):
 @pytest.mark.parametrize("name", ["f6 #2", "  padded  ", "a\ndim 3", "f6_\u03b1", "form\x0cfeed"])
 def test_names_that_would_not_read_back_are_refused(tmp_path, name):
     g, tm = f6()
-    g = LieAlgebra(g.field, g.dim, g.table, name)
+    g = LieAlgebra(g.field, g.dim, upper_pairs(g), name)
     with pytest.raises(ValueError, match="printable ASCII"):
         dumps(g, tm)
     path = tmp_path / "bad.l2a"
@@ -62,7 +67,7 @@ def test_names_that_would_not_read_back_are_refused(tmp_path, name):
 @pytest.mark.parametrize("name", ["f6 2", "two  spaces", "x_perm", "", None])
 def test_names_read_back_as_written(name):
     g, tm = f6()
-    text = dumps(LieAlgebra(g.field, g.dim, g.table, name), tm)
+    text = dumps(LieAlgebra(g.field, g.dim, upper_pairs(g), name), tm)
     g2, tm2 = loads(text)
     assert g2.name == (name or "unnamed") and dumps(g2, tm2) == text
 
@@ -262,6 +267,11 @@ def files(tmp_path_factory):
         "bracket 0 1 0,1\ntwomap 0 0,0\ntwomap 1 0,0\n"
     )
     out["bad"] = str(bad)
+    g, tm = u2()
+    pairs = upper_pairs(g)
+    pairs[(0, 1)] ^= 1  # bit 0 of bracket (0, 1) flipped: [t_0, t_1] = t_0
+    out["u2jacobi"] = str(root / "u2jacobi.l2a")
+    save(LieAlgebra(g.field, g.dim, pairs, "u2jacobi"), tm, out["u2jacobi"])
     return out
 
 
@@ -295,6 +305,22 @@ def test_cli_verify_catches_broken_two_map(files, capsys):
     # each violating vector prints as its coefficients, as in the JSON report
     out = capsys.readouterr().out
     assert "2-map axioms: TwoMapReport(adjoint=[((1,0), 1)])" in out
+
+
+U2_JACOBI = [(0, 1, 4), (0, 1, 5), (0, 1, 8), (0, 1, 9), (0, 1, 12), (0, 1, 14)]
+
+
+def test_cli_verify_reports_jacobi_violations(files, capsys):
+    import json
+
+    assert main(["verify", files["u2jacobi"]]) == 1
+    out = capsys.readouterr().out
+    assert f"lie axioms: LieReport(jacobi={U2_JACOBI})\n" in out
+    assert main(["verify", files["u2jacobi"], "--report", "json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["lie_ok"] is False
+    assert payload["jacobi_violations"] == [list(v) for v in U2_JACOBI]
+    assert payload["alternating_violations"] == [] and payload["symmetry_violations"] == []
 
 
 def test_cli_verify_malformed_file(tmp_path, capsys):

@@ -53,7 +53,7 @@ def twisted_torus():
     it has no nonzero fixed vectors over GF(2) or GF(4); fixed vectors
     appear over GF(8).
     """
-    g = LieAlgebra(F2, 2, [[0, 0], [0, 0]], "twisted")
+    g = LieAlgebra(F2, 2, {}, "twisted")
     tm = TwoMap([unit(F2, 1), unit(F2, 0) ^ unit(F2, 1)])
     return g, tm
 
