@@ -14,6 +14,12 @@ GF(2)-bilinear in them: for every k it sums entries of :attr:`LieAlgebra.raw`,
 the brackets of raw bits, which squaring and :mod:`lie2.tori` read too.
 Over a proper extension it is built the first time it is read.
 
+:meth:`LieAlgebra.ad` is the one path for "bracket with every basis
+vector": it returns every [x, b_j] from one pass over the raw bits of x.
+:func:`spin`, :func:`is_ideal`, :meth:`LieAlgebra.ad_matrix`,
+:func:`centralizer`, the Jacobi check and the adjoint axiom of
+:func:`lie2.restricted.verify_two_map` read it.
+
 All operations are pure; a LieAlgebra is immutable after construction.
 """
 
@@ -27,7 +33,6 @@ from .linalg import (
     _reduce,
     kernel_of_map,
     rref_rows,
-    unit,
     vscale,
 )
 
@@ -56,7 +61,7 @@ class LieAlgebra:
     (characteristic 2: c_ij = c_ji) and has a zero diagonal.
     """
 
-    __slots__ = ("field", "dim", "name", "table", "_raw")
+    __slots__ = ("field", "dim", "name", "table", "_raw", "_ad")
 
     def __init__(self, field: GF2k, dim: int, pairs, name: str | None = None):
         table = [[0] * dim for _ in range(dim)]
@@ -70,6 +75,7 @@ class LieAlgebra:
         self.name = name
         self.table = tuple(tuple(row) for row in table)
         self._raw = self.table if field.k == 1 else None
+        self._ad = None
 
     def __repr__(self):
         return f"LieAlgebra({self.name or 'unnamed'}, dim {self.dim} over {self.field})"
@@ -107,10 +113,34 @@ class LieAlgebra:
                 ys ^= lo2
         return acc
 
+    def ad(self, x: int) -> list:
+        """[x, b_j] for j < dim, from one xor per set raw bit of x.
+
+        Row a of the packed adjoint holds [u_a, b_j] at bits [j*k*n, (j+1)*k*n)
+        (b_j is the raw bit j*k); the rows are built from ``raw`` on the
+        first call.  Like :meth:`bracket`, refuses coordinates past dim.
+        """
+        kn = self.dim * self.field.k
+        if x >> kn:
+            raise AmbientMismatchError("vector has coordinates beyond the algebra dimension")
+        rows = self._ad
+        if rows is None:
+            k = self.field.k
+            rows = self._ad = tuple(
+                sum(row[j * k] << (j * kn) for j in range(self.dim)) for row in self.raw
+            )
+        acc = 0
+        while x:
+            low = x & -x
+            x ^= low
+            acc ^= rows[low.bit_length() - 1]
+        mask = (1 << kn) - 1
+        return [(acc >> s) & mask for s in range(0, self.dim * kn, kn)]
+
     def ad_matrix(self, x: int) -> Matrix:
         """The matrix of ad(x); column j is [x, b_j]."""
-        f, n = self.field, self.dim
-        return Matrix(f, n, n, (self.bracket(x, unit(f, j)) for j in range(n))).transpose()
+        n = self.dim
+        return Matrix(self.field, n, n, self.ad(x)).transpose()
 
     # -- whole-space helpers -------------------------------------------------
 
@@ -123,19 +153,19 @@ class LieAlgebra:
     # -- verification --------------------------------------------------------
 
     def verify(self) -> LieReport:
-        """Exhaustively check the Jacobi identity on all triples."""
+        """Exhaustively check the Jacobi identity on all triples.
+
+        [[b_i, b_j], b_l] is ``ad(table[i][j])[l]``; ad is taken once per
+        distinct table entry.
+        """
         n, table = self.dim, self.table
+        ad = {v: self.ad(v) for v in {v for row in table for v in row}}
         jacobi = []
         for i in range(n):
             for j in range(i + 1, n):
-                bij = table[i][j]
+                ad_ij = ad[table[i][j]]
                 for l in range(j + 1, n):
-                    s = (
-                        self.bracket(bij, unit(self.field, l))
-                        ^ self.bracket(table[j][l], unit(self.field, i))
-                        ^ self.bracket(table[l][i], unit(self.field, j))
-                    )
-                    if s:
+                    if ad_ij[l] ^ ad[table[j][l]][i] ^ ad[table[l][i]][j]:
                         jacobi.append((i, j, l))
         return LieReport(jacobi)
 
@@ -160,13 +190,11 @@ def centralizer(g: LieAlgebra, u: Subspace) -> Subspace:
     if u.dim == 0:
         return g.full_space()
     units = g.full_space().rows
-    # stack the maps x -> [x, y_r] over the basis of u into one codomain
-    images = []
-    for ei in units:
-        stacked = 0
-        for t, y in enumerate(u.rows):
-            stacked |= g.bracket(ei, y) << (t * n * f.k)
-        images.append(stacked)
+    # stack the maps x -> [x, y_t] over the basis of u into one codomain;
+    # [e_i, y_t] = ad(y_t)[i]
+    kn = n * f.k
+    ads = [g.ad(y) for y in u.rows]
+    images = [sum(a[i] << (t * kn) for t, a in enumerate(ads)) for i in range(n)]
     return g.subspace(kernel_of_map(f, units, images))
 
 
@@ -186,18 +214,16 @@ def is_ideal(g: LieAlgebra, u: Subspace) -> bool:
     """
     f = g.field
     echelon = {((r & -r).bit_length() - 1) // f.k: r for r in u.rows}
-    return not any(
-        _reduce(f, echelon, g.bracket(r, unit(f, j)), 0) for r in u.rows for j in range(g.dim)
-    )
+    return not any(_reduce(f, echelon, w, 0) for r in u.rows for w in g.ad(r))
 
 
 def spin(g: LieAlgebra, vectors):
     """Yield a basis of the ideal generated by ``vectors``, one row at a time.
 
     Every seed, then every bracket [r, b_j] of a yielded row r with a basis
-    vector, is fed to the elimination primitive of :mod:`lie2.linalg`; a
-    nonzero residual comes back scaled to coefficient 1 at its lowest
-    nonzero coordinate, stored and is yielded.  By bilinearity the yielded
+    vector (``g.ad(r)``), is fed to the elimination primitive of
+    :mod:`lie2.linalg`; a nonzero residual comes back scaled to coefficient
+    1 at its lowest nonzero coordinate, stored and is yielded.  By bilinearity the yielded
     rows span the ideal; the caller may stop early.  At most dim(g) rows.
     """
     f, n = g.field, g.dim
@@ -210,8 +236,7 @@ def spin(g: LieAlgebra, vectors):
         while i < len(rows):  # rows grows while it is read
             r = rows[i]
             i += 1
-            for j in range(n):
-                yield g.bracket(r, unit(f, j))
+            yield from g.ad(r)
 
     for w in candidates():
         w = _reduce(f, echelon, w)

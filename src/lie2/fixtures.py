@@ -48,7 +48,9 @@ def graded(dims_by_root, nil_dim: int = 0, name: str | None = None, extra=()):
     kills, then the root vectors in label order; everything but the torus
     squares to zero.  ``extra`` lists further brackets ``(a, b, c)`` meaning
     [a, b] = c, with basis keys ``("t", i)``, ``("z", j)`` or ``(root, j)``;
-    all other cross brackets are trivial.  Like the pairs of
+    all other cross brackets are trivial.  An extra bracket that names a
+    key outside the basis, or brackets a key with itself, raises
+    :class:`~lie2.errors.FixtureError`.  Like the pairs of
     :class:`LieAlgebra`, the extra brackets are taken as given, not
     verified: a caller who passes them vouches for the axioms, which
     :func:`lie2.algebra.verify_lie` and :func:`lie2.restricted.verify_two_map`
@@ -71,7 +73,11 @@ def graded(dims_by_root, nil_dim: int = 0, name: str | None = None, extra=()):
                 if (lam >> i) & 1:
                     pairs[(i, pos)] = unit(f, pos)
     for a, b, c in extra:
+        if not {a, b, c} <= index.keys():
+            raise FixtureError(f"extra bracket {(a, b, c)} names a basis key not in the algebra")
         i, j = index[a], index[b]
+        if i == j:
+            raise FixtureError(f"extra bracket {(a, b, c)} brackets {a} with itself")
         pairs[(min(i, j), max(i, j))] = unit(f, index[c])
     n = len(index)
     g = LieAlgebra(f, n, pairs, name or "graded")

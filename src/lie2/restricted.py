@@ -114,11 +114,9 @@ def iterate_square(g: LieAlgebra, tm: TwoMap, x: int, m: int) -> int:
 
 def _ad_defect_witness(g: LieAlgebra, tm: TwoMap, x: int):
     """First basis index where ad(x^[2]) and ad(x)^2 disagree, or None."""
-    f = g.field
     sq = square(g, tm, x)
-    for j in range(g.dim):
-        ej = unit(f, j)
-        if g.bracket(sq, ej) != g.bracket(x, g.bracket(x, ej)):
+    for j, (s, y) in enumerate(zip(g.ad(sq), g.ad(x))):
+        if s != g.bracket(x, y):  # [x^[2], b_j] against [x, [x, b_j]]
             return j
     return None
 

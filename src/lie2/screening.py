@@ -62,7 +62,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
 from .field import gf
-from .linalg import Subspace, kernel_of_map, pivot_index, rref_rows, vget
+from .linalg import Subspace, kernel_of_map, pivot_index, rref_rows, vget, vscale
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
@@ -573,6 +573,12 @@ class SimplicityVerdict:
     reason: str | None = None
 
 
+def _projective(f, w: int) -> int:
+    """Nonzero w scaled to coefficient 1 at its lowest nonzero coordinate."""
+    c = vget(f, w, pivot_index(f, w))
+    return w if c == 1 else vscale(f, w, f.inv(c))
+
+
 def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> SimplicityVerdict:
     """Brute-force simplicity oracle.
 
@@ -587,10 +593,12 @@ def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> Simplicit
     generator v.  A yielded row has coefficient 1 at its lowest nonzero
     coordinate, so w is the projective representative of a generator spun
     before v; every earlier closure was the whole algebra, or the oracle
-    would have returned, hence ideal(v) contains ideal(w) = g.  A proper
-    ideal(v) contains no earlier generator, so its spin never stops early:
-    the generators, their order, ``closures_run``, the counterexample and the
-    verdict are those of spinning every closure in full.
+    would have returned, hence ideal(v) contains ideal(w) = g.  For the same
+    reason v is not spun at all when some nonzero [v, b_j], scaled to 1 at
+    its pivot, precedes v.  A proper ideal(v) contains no earlier generator,
+    so neither shortcut fires on it: the generators, their order,
+    ``closures_run``, the counterexample and the verdict are those of
+    spinning every closure in full.
     """
     f, n = g.field, g.dim
     if n < 2:
@@ -604,6 +612,11 @@ def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> Simplicit
         if f.k > 1 and vget(f, v, pivot_index(f, v)) != 1:
             continue  # projective representative only
         closures += 1
+        brackets = g.ad(v)
+        if f.k > 1:
+            brackets = (_projective(f, w) for w in brackets if w)
+        if any(0 < w < v for w in brackets):
+            continue  # ideal(v) holds an earlier generator, so it is the whole algebra
         dim = 0
         for w in spin(g, [v]):
             if w < v:

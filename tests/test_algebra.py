@@ -24,9 +24,10 @@ from lie2.algebra import (
 from lie2.cli import _suite_corpus
 from lie2.errors import AmbientMismatchError
 from lie2.field import gf
-from lie2.fixtures import f6, gl, u2
+from lie2.fixtures import f6, fixture, gl, u2
 from lie2.screening import simplicity_screen
 from lie2.linalg import Subspace, coeffs, unit, vector
+from lie2.restricted import extend_scalars
 
 F2 = gf(1)
 
@@ -222,6 +223,22 @@ def test_is_ideal_iff_closure_fixed(gl2):
         assert is_ideal(g, closure) and ideal_closure(g, closure) == closure
 
 
+def test_is_ideal_reads_every_row():
+    # an ideal plus one more line: is_ideal must bracket the line too,
+    # wherever its row falls among the canonical rows
+    for build, seed in ((u2, 3), (f6, 4)):
+        g, _ = build()
+        rng = random.Random(seed)
+        proper = 0
+        for _ in range(100):
+            ideal = ideal_closure(g, g.subspace([rng.getrandbits(g.dim)]))
+            u = ideal.sum(g.subspace([rng.getrandbits(g.dim)]))
+            closure = ideal_closure(g, u)
+            assert is_ideal(g, u) == (closure == u)
+            proper += closure != u
+        assert proper > 0
+
+
 def test_bracket_span_symmetric(gl2):
     g, _ = gl2
     u = g.subspace([unit(F2, 1), unit(F2, 0)])
@@ -255,6 +272,34 @@ def test_bracket_length_mismatch():
     g = abelian(2)
     with pytest.raises(AmbientMismatchError):
         g.bracket(1 << 5, 1)
+
+
+AD_FIXTURES = {
+    "torus3": ("torus", {"r": 3}), "f6": ("f6", {}), "f6n": ("f6n", {}), "f7": ("f7", {}),
+    "delta2": ("delta2", {}), "u1": ("u1", {}), "u2": ("u2", {}),
+    "delta0": ("delta0", {"dims": (1, 2, 1, 1, 1, 1, 2)}), "gl3": ("gl", {"n": 3}),
+    "sl3": ("sl", {"n": 3}), "sl4": ("sl", {"n": 4}), "witt3": ("witt", {"m": 3}),
+    "rank2sq": ("rank2sq", {}), "gltor": ("gltor", {}),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("case", AD_FIXTURES)
+def test_ad_agrees_with_bracket(case, k):
+    name, params = AD_FIXTURES[case]
+    g, _ = extend_scalars(*fixture(name, **params), k)
+    f, n = g.field, g.dim
+    rng = random.Random(f"ad/{case}/{k}")
+    xs = [0, (1 << (k * n)) - 1] + [unit(f, i) for i in range(n)]
+    xs += [rng.getrandbits(k * n) for _ in range(25)]
+    for x in xs:
+        assert g.ad(x) == [g.bracket(x, unit(f, j)) for j in range(n)]
+    for x in xs[-3:]:  # column j of ad_matrix(x) holds the coordinates of [x, b_j]
+        columns = list(zip(*g.ad_matrix(x).entries()))
+        assert columns == [coeffs(f, n, g.bracket(x, unit(f, j))) for j in range(n)]
+    for past in (1 << (k * n), (1 << (k * n + 3)) | 1):
+        with pytest.raises(AmbientMismatchError):
+            g.ad(past)
 
 
 @settings(max_examples=80, deadline=None)

@@ -178,8 +178,12 @@ def test_every_generator_verifies():
     lambda: fixture("torus", r=-1),
     lambda: torus(2, k=0),
     lambda: torus(2, k=17),
+    lambda: graded({1: 1, 2: 1}, extra=[((1, 5), (2, 0), ("t", 0))]),
+    lambda: graded({1: 1, 2: 1}, extra=[((1, 0), (2, 0), ("z", 0))]),
+    lambda: graded({1: 1, 2: 1}, extra=[((1, 0), (1, 0), ("t", 0))]),
 ], ids=["label9", "label0", "negative_dim", "negative_nil_dim", "torus_r", "fixture_torus_r",
-        "torus_k0", "torus_k17"])
+        "torus_k0", "torus_k17", "extra_unknown_key", "extra_unknown_image",
+        "extra_self_bracket"])
 def test_out_of_range_parameters_are_refused(build):
     with pytest.raises(FixtureError):
         build()

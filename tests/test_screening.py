@@ -11,7 +11,7 @@ from itertools import combinations
 
 import pytest
 
-from lie2.algebra import abelian, bracket_span, center, ideal_closure, is_ideal
+from lie2.algebra import LieAlgebra, abelian, bracket_span, center, ideal_closure, is_ideal
 from lie2.cli import _suite_corpus
 from lie2.errors import BudgetExceededError, PreconditionError
 from lie2.field import gf
@@ -33,7 +33,7 @@ from lie2.fixtures import (
     vacuity_family,
     witt,
 )
-from lie2.linalg import Subspace, combine, kernel_of_map, pivot_index, solve, unit, vget
+from lie2.linalg import Subspace, combine, kernel_of_map, pivot_index, solve, unit, vget, vscale
 from lie2.restricted import TwoMap, extend_scalars, square
 from lie2.roots import (
     DELTA_SETS,
@@ -841,6 +841,21 @@ def test_oracle_shortcut_matches_plain_spin():
     for g, tm in _oracle_differential_cases():
         v = is_simple(g)
         assert (v.simple, v.counterexample, v.closures_run) == plain_spin_oracle(g), g.name
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_oracle_counterexample_on_every_two_dim_algebra_over_an_extension(k):
+    # [b_0, b_1] = c: the line of c is the one proper nonzero ideal, and the
+    # oracle returns its representative with coefficient 1 at the pivot,
+    # whatever the scalars in c (a generator is skipped only when one of its
+    # brackets, scaled to 1 at its pivot, precedes it)
+    f = gf(k)
+    for c in range(1, 1 << (2 * k)):
+        g = LieAlgebra(f, 2, {(0, 1): c})
+        v = is_simple(g)
+        assert (v.simple, v.counterexample, v.closures_run) == plain_spin_oracle(g), c
+        line = {vscale(f, c, s) for s in range(1, 1 << k)}
+        assert v.counterexample in line and vget(f, v.counterexample, pivot_index(f, c)) == 1
 
 
 def test_oracle_positive_control_sl3():
