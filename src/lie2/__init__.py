@@ -49,6 +49,7 @@ from .restricted import (
     iterate_square,
     jcs_decompose,
     square,
+    subquotient,
     two_envelope,
     verify_two_map,
 )

@@ -21,10 +21,13 @@ Main families
 ``delta0(dims)``  all seven roots with prescribed dimensions, brackets
                   trivial across root spaces
 ``gl(n)``/``sl(n)``  matrix algebras with squaring as the 2-map
+``psl4``          sl(4) modulo its centre: dim 14, simple, toral rank 2 over GF(2)
 ``witt(m)``       derivations f d/dx of GF(2)[x]/(x^(2^m)); closed under
                   squaring via (f d/dx)^2 = (f f') d/dx
 ``rank2sq``       rank-2 algebra whose root vectors square onto the torus
 ``gltor``         gl(2) with an adjoined outer toral line (two coupled roots)
+
+sl(n), psl4 and :func:`permute_basis` are :func:`lie2.restricted.subquotient` calls.
 """
 
 from __future__ import annotations
@@ -34,8 +37,8 @@ from itertools import combinations, product
 from .algebra import LieAlgebra
 from .errors import FixtureError
 from .field import gf
-from .linalg import solve, unit, vector
-from .restricted import TwoMap
+from .linalg import unit
+from .restricted import TwoMap, subquotient
 
 ROOT_ORDER = (1, 2, 3, 4, 5, 6, 7)  # 3-bit root labels, bit i = value on t_{i+1}
 
@@ -171,56 +174,34 @@ def gltor():
 # matrix algebras
 # ---------------------------------------------------------------------------
 
-def _mat_mul2(a, b, n):
-    """Product of n x n matrices over GF(2) packed row-major into ints."""
-    out = 0
-    for i in range(n):
-        rowa = (a >> (i * n)) & ((1 << n) - 1)
-        acc = 0
-        t = rowa
-        while t:
-            low = t & -t
-            q = low.bit_length() - 1
-            t ^= low
-            acc ^= (b >> (q * n)) & ((1 << n) - 1)
-        out |= acc << (i * n)
-    return out
-
-
-def _from_matrix_basis(mats, n, name):
-    """Structure constants for a bracket-closed space of n x n GF(2) matrices."""
-    f = gf(1)
-    dim = len(mats)
-
-    def coords(m):
-        c = solve(f, mats, m)
-        if c is None:
-            raise FixtureError(f"{name}: commutator leaves the span")
-        return c
-
-    pairs = {
-        (i, j): coords(_mat_mul2(mats[i], mats[j], n) ^ _mat_mul2(mats[j], mats[i], n))
-        for i, j in combinations(range(dim), 2)
-    }
-    images = [coords(_mat_mul2(m, m, n)) for m in mats]
-    return LieAlgebra(f, dim, pairs, name), TwoMap(images)
-
-
 def gl(n: int):
-    """gl(n, GF(2)) with matrix squaring as the 2-map."""
+    """gl(n, GF(2)) with matrix squaring as the 2-map, basis E_pq at p*n + q.
+
+    [E_ij, E_kl] = d_jk E_il + d_li E_kj and E_ij^[2] = d_ij E_ii.
+    """
     if not 1 <= n <= 5:
         raise FixtureError("gl(n) supported for 1 <= n <= 5")
-    mats = [1 << (p * n + q) for p in range(n) for q in range(n)]
-    return _from_matrix_basis(mats, n, f"gl{n}")
+    f, cells = gf(1), list(product(range(n), repeat=2))
+    e = {cell: unit(f, a) for a, cell in enumerate(cells)}
+    pairs = {(a, b): (e[i, l] if j == k else 0) ^ (e[k, j] if l == i else 0)
+             for (a, (i, j)), (b, (k, l)) in combinations(enumerate(cells), 2)}
+    images = [e[i, i] if i == j else 0 for i, j in cells]
+    return LieAlgebra(f, n * n, pairs, f"gl{n}"), TwoMap(images)
 
 
 def sl(n: int):
     """Trace-zero matrices; contains the identity when 2 divides n."""
     if not 2 <= n <= 5:
         raise FixtureError("sl(n) supported for 2 <= n <= 5")
-    mats = [1 << (p * n + q) for p in range(n) for q in range(n) if p != q]
-    mats += [(1 << (p * n + p)) ^ (1 << ((p + 1) * n + p + 1)) for p in range(n - 1)]
-    return _from_matrix_basis(mats, n, f"sl{n}")
+    basis = [1 << (p * n + q) for p in range(n) for q in range(n) if p != q]
+    basis += [(1 << (p * n + p)) ^ (1 << ((p + 1) * n + p + 1)) for p in range(n - 1)]
+    return subquotient(*gl(n), basis, name=f"sl{n}")
+
+
+def psl4():
+    """sl(4) modulo its centre, the identity h_0 + h_2 (dim 14, simple)."""
+    # the basis of sl(4) ends h_0, h_1, h_2 (indices 12-14): keep all but h_2
+    return subquotient(*sl(4), [1 << i for i in range(14)], ideal=[1 << 12 | 1 << 14], name="psl4")
 
 
 # ---------------------------------------------------------------------------
@@ -258,21 +239,11 @@ def permute_basis(g: LieAlgebra, tm: TwoMap, perm, name=None):
     """The same algebra with basis b'_i = b_{perm[i]}.
 
     Useful for exercising basis-change searches: the relabelled algebra is
-    isomorphic but its root data appear shuffled.  A pure relabelling, like
-    :func:`lie2.restricted.extend_scalars`: the axioms carry over unchanged.
+    isomorphic but its root data appear shuffled.
     """
-    f, n = g.field, g.dim
-    if sorted(perm) != list(range(n)):
+    if sorted(perm) != list(range(g.dim)):
         raise FixtureError("perm must be a permutation of range(dim)")
-
-    def relabel(v):
-        return vector(f, [  # coordinate i of new vector = old coordinate perm[i]
-            (v >> (perm[i] * f.k)) & f.mask for i in range(n)
-        ])
-
-    pairs = {(i, j): relabel(g.table[perm[i]][perm[j]]) for i, j in combinations(range(n), 2)}
-    g2 = LieAlgebra(f, n, pairs, name or f"{g.name}_perm")
-    return g2, TwoMap([relabel(tm.images[perm[i]]) for i in range(n)])
+    return subquotient(g, tm, [unit(g.field, p) for p in perm], name=name or f"{g.name}_perm")
 
 
 def vacuity_family():
@@ -325,6 +296,7 @@ _FIXTURES = {
     "delta0": delta0,
     "gl": gl,
     "sl": sl,
+    "psl4": psl4,
     "witt": witt,
     "rank2sq": rank2sq,
     "gltor": gltor,

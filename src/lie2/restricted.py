@@ -25,14 +25,19 @@ nilpotent part dies within dim-many steps, and iterating to a multiple of
 the period past that point lands exactly on the semisimple part.  Spans of
 iterates grow one vector at a time on the elimination primitive of
 :mod:`lie2.linalg`.
+
+:func:`subquotient` is the one change-of-basis, subalgebra and quotient
+constructor; :func:`extend_scalars` changes the field, not the basis.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .algebra import LieAlgebra, bracket_span
-from .errors import PreconditionError
+from .errors import FixtureError, PreconditionError
 from .field import gf
-from .linalg import Subspace, _reduce, rref_rows, unit, vscale
+from .linalg import Subspace, _reduce, rref_rows, solve, unit, vscale
 
 
 class TwoMap:
@@ -248,3 +253,25 @@ def extend_scalars(g: LieAlgebra, tm: TwoMap, k: int):
     g2 = LieAlgebra(f2, g.dim, pairs, g.name)
     return g2, TwoMap([spread(x) for x in tm.images])
 
+
+def subquotient(g: LieAlgebra, tm: TwoMap, basis, ideal=(), name=None):
+    """The algebra on ``basis`` modulo ``ideal``: a change of basis, subalgebra or quotient.
+
+    Each [b_i, b_j] (i < j) and b_i^[2] is solved for in ``basis + ideal``
+    (:func:`lie2.linalg.solve`) and its ideal coordinates dropped; one that
+    leaves the span raises :class:`~lie2.errors.FixtureError`.  That ``basis
+    + ideal`` is independent and ``ideal`` a restricted ideal of the
+    subalgebra they span is the caller's precondition, as for ``LieAlgebra``.
+    """
+    f, basis = g.field, list(basis)
+    span, mask = basis + list(ideal), (1 << (len(basis) * f.k)) - 1
+
+    def coords(v: int) -> int:
+        c = solve(f, span, v)
+        if c is None:
+            raise FixtureError(f"{name or g.name}: a bracket or square leaves the span")
+        return c & mask
+
+    pairs = {(i, j): coords(g.bracket(basis[i], basis[j])) for i, j in combinations(range(len(basis)), 2)}
+    images = [coords(square(g, tm, b)) for b in basis]
+    return LieAlgebra(f, len(basis), pairs, name or g.name), TwoMap(images)

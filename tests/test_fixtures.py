@@ -4,10 +4,11 @@ The generators build their algebras so that the Lie and squaring axioms hold
 by construction and do not re-check them; ``test_every_generator_verifies``
 is where those axioms are checked, on the output of every generator.  The
 graded families are also compared byte for byte with a reference builder, a
-torus-plus-root-vectors builder kept here in its earlier, object-style form.
+torus-plus-root-vectors builder kept here in its earlier, object-style form,
+and the matrix algebras with one that multiplies actual matrices.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -26,6 +27,7 @@ from lie2.fixtures import (
     gltor,
     graded,
     permute_basis,
+    psl4,
     rank2sq,
     sl,
     torus,
@@ -34,8 +36,8 @@ from lie2.fixtures import (
     vacuity_family,
     witt,
 )
-from lie2.linalg import unit
-from lie2.restricted import TwoMap, verify_two_map
+from lie2.linalg import solve, unit
+from lie2.restricted import TwoMap, subquotient, verify_two_map
 
 ROOT_SETS = [s for m in range(1, 8) for s in combinations(ROOT_ORDER, m)]
 
@@ -145,12 +147,39 @@ def test_vacuity_family_matches_the_reference_builder():
             assert dumps(g, tm) == dumps(*ref), label
 
 
+def reference_matrix_algebra(mats, n, name):
+    """Structure constants of a bracket-closed space of n x n GF(2) matrices
+    packed row-major into ints, with matrix squaring as the 2-map."""
+    def mul(a, b):
+        out = 0
+        for i, q in product(range(n), repeat=2):
+            if (a >> (i * n + q)) & 1:  # a_iq times row q of b lands in row i
+                out ^= ((b >> (q * n)) & ((1 << n) - 1)) << (i * n)
+        return out
+
+    f = gf(1)
+    pairs = {(i, j): solve(f, mats, mul(a, b) ^ mul(b, a))
+             for (i, a), (j, b) in combinations(enumerate(mats), 2)}
+    return LieAlgebra(f, len(mats), pairs, name), TwoMap([solve(f, mats, mul(m, m)) for m in mats])
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_matrix_algebras_match_matrix_products(n):
+    # gl(n) is built in closed form and sl(n) as its subalgebra, neither from matrices
+    units = [1 << (p * n + q) for p in range(n) for q in range(n)]
+    assert dumps(*gl(n)) == dumps(*reference_matrix_algebra(units, n, f"gl{n}"))
+    if n >= 2:
+        trace_zero = [units[p * n + q] for p in range(n) for q in range(n) if p != q]
+        trace_zero += [units[p * n + p] ^ units[(p + 1) * n + p + 1] for p in range(n - 1)]
+        assert dumps(*sl(n)) == dumps(*reference_matrix_algebra(trace_zero, n, f"sl{n}"))
+
+
 def every_generator():
     """(label, build) for every fixture generator this module checks."""
     out = [(f"torus{r}@k{k}", lambda r=r, k=k: torus(r, k)) for r in range(1, 5) for k in range(1, 4)]
     out += [(b.__name__, b) for b in (f6, f6n, f7, delta2, u1, u2, rank2sq, gltor)]
     out += [(f"gl{n}", lambda n=n: gl(n)) for n in range(1, 6)]
-    out += [(f"sl{n}", lambda n=n: sl(n)) for n in range(2, 6)]
+    out += [(f"sl{n}", lambda n=n: sl(n)) for n in range(2, 6)] + [("psl4", psl4)]
     out += [(f"witt{m}", lambda m=m: witt(m)) for m in range(1, 5)]
     out += [(f"graded{roots}/{nil}", lambda roots=roots, nil=nil: graded(dict.fromkeys(roots, 1), nil))
             for roots in ROOT_SETS for nil in (0, 1)]
@@ -159,7 +188,7 @@ def every_generator():
 
 def test_every_generator_verifies():
     generators = every_generator()
-    assert len(generators) == 427
+    assert len(generators) == 428
     failures = []
     for label, build in generators:
         g, tm = build()
@@ -181,9 +210,11 @@ def test_every_generator_verifies():
     lambda: graded({1: 1, 2: 1}, extra=[((1, 5), (2, 0), ("t", 0))]),
     lambda: graded({1: 1, 2: 1}, extra=[((1, 0), (2, 0), ("z", 0))]),
     lambda: graded({1: 1, 2: 1}, extra=[((1, 0), (1, 0), ("t", 0))]),
+    lambda: permute_basis(*f6(), [0, 0, 1, 2, 3, 4]),
+    lambda: subquotient(*gl(2), [unit(gf(1), 1), unit(gf(1), 2)]),  # [E12, E21] = E11 + E22
 ], ids=["label9", "label0", "negative_dim", "negative_nil_dim", "torus_r", "fixture_torus_r",
         "torus_k0", "torus_k17", "extra_unknown_key", "extra_unknown_image",
-        "extra_self_bracket"])
+        "extra_self_bracket", "permute_not_a_permutation", "subquotient_leaves_span"])
 def test_out_of_range_parameters_are_refused(build):
     with pytest.raises(FixtureError):
         build()

@@ -11,7 +11,15 @@ from itertools import combinations
 
 import pytest
 
-from lie2.algebra import LieAlgebra, abelian, bracket_span, center, ideal_closure, is_ideal
+from lie2.algebra import (
+    LieAlgebra,
+    abelian,
+    bracket_span,
+    center,
+    ideal_closure,
+    is_ideal,
+    verify_lie,
+)
 from lie2.cli import _suite_corpus
 from lie2.errors import BudgetExceededError, PreconditionError
 from lie2.field import gf
@@ -25,6 +33,7 @@ from lie2.fixtures import (
     gltor,
     graded,
     permute_basis,
+    psl4,
     rank2sq,
     sl,
     torus,
@@ -34,7 +43,7 @@ from lie2.fixtures import (
     witt,
 )
 from lie2.linalg import Subspace, combine, kernel_of_map, pivot_index, solve, unit, vget, vscale
-from lie2.restricted import TwoMap, extend_scalars, square
+from lie2.restricted import TwoMap, extend_scalars, square, subquotient, verify_two_map
 from lie2.roots import (
     DELTA_SETS,
     Torus,
@@ -878,3 +887,56 @@ def test_oracle_sl4_counterexample_is_the_centre():
     assert not v.simple and v.counterexample == identity and v.closures_run == 20480
     cl = ideal_closure(g, g.subspace([identity]))
     assert cl.dim == 1 and cl == center(g)
+
+
+def test_psl4_is_a_simple_control_out_of_scope():
+    # sl(4) modulo the centre above: simple, but of toral rank 2 over GF(2)
+    g, tm = psl4()
+    assert g.dim == 14 and verify_lie(g).ok and verify_two_map(g, tm).ok
+    assert center(g).dim == 0
+    v = is_simple(g)
+    assert v.simple is True and v.counterexample is None and v.closures_run == 2 ** 14 - 1
+    assert maximal_torus(g, tm).dim == 2
+    res = simplicity_screen(g, tm)
+    assert (res.verdict, res.reason) == (VERDICT_OUT_OF_SCOPE, "toral rank 2 != 3")
+
+
+# -- invariance under a change of basis -----------------------------------------------------------
+
+def random_basis(f, n, rng):
+    """A uniformly drawn invertible basis of GF(2^k)^n."""
+    rows = []
+    while len(rows) < n:
+        v = rng.getrandbits(f.k * n)
+        if Subspace.from_vectors(f, n, rows + [v]).dim > len(rows):
+            rows.append(v)
+    return rows
+
+
+def rebased(g, tm, seed):
+    """g in a random basis; it must verify like g."""
+    h, tm2 = subquotient(g, tm, random_basis(g.field, g.dim, random.Random(seed)))
+    assert verify_lie(h).ok and verify_two_map(h, tm2).ok
+    return h, tm2
+
+
+def screen_key(g, tm):
+    res = simplicity_screen(g, tm)
+    return res.verdict, res.reason, res.ideal.subspace.dim if res.ideal else None
+
+
+REBASE_CASES = [(b.__name__, b) for b in (f6, f6n, f7, delta2, u1, u2)] + vacuity_family()[::14]
+
+
+@pytest.mark.parametrize("label,build", REBASE_CASES, ids=[label for label, _ in REBASE_CASES])
+def test_screen_is_invariant_under_a_change_of_basis(label, build):
+    g, tm = build()
+    assert screen_key(*rebased(g, tm, seed=g.dim)) == screen_key(g, tm)
+
+
+@pytest.mark.parametrize("build", [f6, lambda: gl(2)], ids=["f6", "gl2"])
+def test_screen_and_toral_rank_are_invariant_under_a_change_of_basis_over_gf4(build):
+    g, tm = extend_scalars(*build(), 2)
+    h, tm2 = rebased(g, tm, seed=g.dim)
+    assert maximal_torus(h, tm2).dim == maximal_torus(g, tm).dim
+    assert screen_key(h, tm2) == screen_key(g, tm)
