@@ -18,7 +18,9 @@ Over a proper extension it is built the first time it is read.
 vector": it returns every [x, b_j] from one pass over the raw bits of x.
 :func:`spin`, :func:`is_ideal`, :meth:`LieAlgebra.ad_matrix`,
 :func:`centralizer`, the Jacobi check and the adjoint axiom of
-:func:`lie2.restricted.verify_two_map` read it.
+:func:`lie2.restricted.verify_two_map` read it, and
+:func:`lie2.screening.is_simple` reads it once per raw bit to build the
+packed adjoint it then moves by xor from one generator to the next.
 
 All operations are pure; a LieAlgebra is immutable after construction.
 """
@@ -32,6 +34,7 @@ from .linalg import (
     Subspace,
     _reduce,
     kernel_of_map,
+    pivot_index,
     rref_rows,
     vscale,
 )
@@ -213,7 +216,7 @@ def is_ideal(g: LieAlgebra, u: Subspace) -> bool:
     of u's canonical rows; ``limit=0`` leaves that echelon unchanged.
     """
     f = g.field
-    echelon = {((r & -r).bit_length() - 1) // f.k: r for r in u.rows}
+    echelon = {pivot_index(f, r): r for r in u.rows}
     return not any(_reduce(f, echelon, w, 0) for r in u.rows for w in g.ad(r))
 
 

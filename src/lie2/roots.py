@@ -99,7 +99,10 @@ def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
     commuting with t is then exactly the set of 2-nilpotent elements of h,
     by uniqueness of the decomposition.  Any failure raises
     SplitFailureError because it falsifies the hypotheses (h not a Cartan
-    subalgebra of a restricted algebra, or t not maximal).
+    subalgebra of a restricted algebra, or t not maximal).  A complement
+    failure means that h holds a semisimple element outside t: with t
+    maximal over the field, as :func:`lie2.tori.maximal_torus` gives it,
+    that element is toral only over a larger field, where the torus grows.
     """
     if not h.contains_space(t.subspace):
         raise PreconditionError("torus must sit inside the subspace being split")
@@ -115,7 +118,11 @@ def split_cartan(g: LieAlgebra, tm: TwoMap, h: Subspace, t: Torus):
             raise SplitFailureError("2-nilpotent parts of h do not span a 2-nilpotent subspace")
         level = below
     if t.subspace.dim + n_sub.dim != h.dim or t.subspace.sum(n_sub) != h:
-        raise SplitFailureError("2-nilpotent part does not complement the torus in h")
+        raise SplitFailureError(
+            "2-nilpotent part does not complement the torus in h: h holds a semisimple "
+            f"element outside the torus, so the torus is maximal over {g.field} but not "
+            "over a larger field"
+        )
     if bracket_span(g, t.subspace, n_sub).dim != 0:
         raise SplitFailureError("torus does not commute with the 2-nilpotent part")
     return n_sub

@@ -41,11 +41,15 @@ one containment test of ``slice.sum(d.nil_part)``.
 Every produced IdealReport re-verifies its subspace from scratch (ideal
 property, properness, nonzeroness; :attr:`IdealReport.ok` is all three),
 and :func:`is_simple` gives the independent brute-force verdict by
-spinning every 1-dimensional generator.  It stops a spin as soon as the
-spin reaches an earlier generator: that generator's closure is already
-known to be the whole algebra, and a proper closure never contains one,
-so the verdict, the closure count and the counterexample are those of
-spinning every closure in full.
+spinning every 1-dimensional generator.  It walks the generators in
+integer order with their brackets [v, b_j] packed into one int, which
+moves from one generator to the next by one xor, and does not spin a
+generator when one guard-bit compare finds a nonzero bracket below its
+top coordinate.  It stops a spin as soon as the spin reaches an earlier
+generator.  Either way that generator's closure is already known to be
+the whole algebra, and a proper closure never contains one, so the
+verdict, the closure count and the counterexample are those of spinning
+every closure in full.
 """
 
 from __future__ import annotations
@@ -62,7 +66,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
 from .field import gf
-from .linalg import Subspace, kernel_of_map, pivot_index, rref_rows, vget, vscale
+from .linalg import Subspace, kernel_of_map, rref_rows
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
@@ -573,10 +577,9 @@ class SimplicityVerdict:
     reason: str | None = None
 
 
-def _projective(f, w: int) -> int:
-    """Nonzero w scaled to coefficient 1 at its lowest nonzero coordinate."""
-    c = vget(f, w, pivot_index(f, w))
-    return w if c == 1 else vscale(f, w, f.inv(c))
+def _pack(fields, bits: int) -> int:
+    """fields[j] at bits [j*W, j*W + bits) with W = bits + 1: a zero guard bit above each."""
+    return sum(w << (j * (bits + 1)) for j, w in enumerate(fields))
 
 
 def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> SimplicityVerdict:
@@ -589,40 +592,67 @@ def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> Simplicit
     vector, whose closure is then a proper nonzero ideal, so the
     enumeration is sound and complete.
 
-    Each spin stops at the first row w < v that :func:`spin` yields for the
-    generator v.  A yielded row has coefficient 1 at its lowest nonzero
-    coordinate, so w is the projective representative of a generator spun
-    before v; every earlier closure was the whole algebra, or the oracle
-    would have returned, hence ideal(v) contains ideal(w) = g.  For the same
-    reason v is not spun at all when some nonzero [v, b_j], scaled to 1 at
-    its pivot, precedes v.  A proper ideal(v) contains no earlier generator,
-    so neither shortcut fires on it: the generators, their order,
-    ``closures_run``, the counterexample and the verdict are those of
-    spinning every closure in full.
+    The brackets [v, b_j] of every v are kept in one packed int P, field j
+    at bits [j*W, j*W + k*n) with W = k*n + 1, so that a zero guard bit
+    sits above every field.  ad is linear and v differs from v - 1 in
+    exactly its bits 0..t, t being v's trailing zeros, so P moves from
+    v - 1 to v by one xor with S_t = R_0 ^ ... ^ R_t, R_a being the packed
+    ad of the raw bit a.  A v at k > 1 is a projective representative iff
+    its lowest nonzero coordinate, at bits [t - t % k, t - t % k + k), is 1.
+
+    A generator v is not spun when some [v, b_j] satisfies 0 < w < T,
+    T = 2^(k*q) with q v's top coordinate: w's projective representative
+    has the same nonzero coordinates, so it precedes T <= v, and every earlier
+    closure was the whole algebra, or the oracle would have returned, hence
+    ideal(v) contains it and is the whole algebra.  All fields are compared
+    at once with guard bits (Lamport, "Multiple byte processing with
+    full-word instructions", CACM 18(8), 1975): the guard of field j in
+    (T - 1)*REP + GUARD - P is set iff w_j < T, and in P + ONES iff
+    w_j > 0, with REP = sum 2^(j*W), GUARD = REP << k*n and ONES =
+    (2^(k*n) - 1)*REP, and no field borrows from or carries into the next.
+
+    A spin stops at the first row w < v that :func:`spin` yields.  A
+    yielded row has coefficient 1 at its lowest nonzero coordinate, so w is
+    the projective representative of a generator spun before v, and
+    ideal(v) contains ideal(w) = g as above.  A proper ideal(v) contains no
+    earlier generator, so neither shortcut fires on it: the generators,
+    their order, ``closures_run``, the counterexample and the verdict are
+    those of spinning every closure in full.
     """
     f, n = g.field, g.dim
     if n < 2:
         return SimplicityVerdict(False, None, 0, f"dimension {n} algebra is not simple")
-    if f.k * n > budget_bits:
+    k, kn = f.k, f.k * n
+    if kn > budget_bits:
         raise BudgetExceededError(
-            f"simplicity oracle needs 2^{f.k * n} closures, budget is 2^{budget_bits}"
+            f"simplicity oracle needs 2^{kn} closures, budget is 2^{budget_bits}"
         )
+    rep = _pack([1] * n, kn)
+    guard = rep << kn
+    ones = rep * ((1 << kn) - 1)
+    steps, prefix = [], 0  # steps[t] = (S_t, start bit of the coordinate holding bit t)
+    for t in range(kn):
+        prefix ^= _pack(g.ad(1 << t), kn)
+        steps.append((prefix, t - t % k))
+    mask = f.mask
+    packed = 0  # the brackets [v, b_j], one field each
     closures = 0
-    for v in range(1, 1 << (f.k * n)):
-        if f.k > 1 and vget(f, v, pivot_index(f, v)) != 1:
-            continue  # projective representative only
-        closures += 1
-        brackets = g.ad(v)
-        if f.k > 1:
-            brackets = (_projective(f, w) for w in brackets if w)
-        if any(0 < w < v for w in brackets):
-            continue  # ideal(v) holds an earlier generator, so it is the whole algebra
-        dim = 0
-        for w in spin(g, [v]):
-            if w < v:
-                break  # an earlier generator: ideal(v) is the whole algebra
-            dim += 1
-        else:
-            if dim < n:
-                return SimplicityVerdict(False, v, closures, "proper nonzero ideal found")
+    for q in range(n):
+        below = ((1 << (k * q)) - 1) * rep + guard  # (T - 1) * REP + GUARD
+        for v in range(1 << (k * q), 1 << (k * (q + 1))):
+            step, low = steps[(v & -v).bit_length() - 1]
+            packed ^= step
+            if (v >> low) & mask != 1:
+                continue  # projective representative only
+            closures += 1
+            if (below - packed) & (packed + ones) & guard:
+                continue  # ideal(v) holds an earlier generator, so it is the whole algebra
+            dim = 0
+            for w in spin(g, [v]):
+                if w < v:
+                    break  # an earlier generator: ideal(v) is the whole algebra
+                dim += 1
+            else:
+                if dim < n:
+                    return SimplicityVerdict(False, v, closures, "proper nonzero ideal found")
     return SimplicityVerdict(True, None, closures, None)

@@ -11,6 +11,7 @@ from lie2 import screening
 from lie2.algebra import LieAlgebra, abelian
 from lie2.cli import build_parser, main
 from lie2.errors import ContradictionError, FileFormatError
+from lie2.field import gf
 from lie2.fileio import dumps, load, loads, save
 from lie2.fixtures import delta0, f6, f7, gl, graded, torus, u2, witt
 from lie2.restricted import TwoMap
@@ -395,6 +396,28 @@ def test_cli_decompose_past_the_old_split_ceiling(tmp_path, capsys):
     save(*graded({1: 1, 2: 1, 4: 1}, nil_dim=14), path)
     assert main(["decompose", str(path)]) == 0
     assert "torus dim 3, cartan dim 17, nil dim 14\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_cli_decompose_names_a_torus_that_is_maximal_only_over_this_field(tmp_path, capsys,
+                                                                         degree):
+    # demo 03's abelian algebra with e0 -> e1 -> e0 + e1: the squaring map
+    # fixes nothing over GF(2) or GF(4), so h = g holds semisimple elements
+    # outside the zero torus; over GF(8) they are toral and the split holds
+    path = tmp_path / "twisted.l2a"
+    save(LieAlgebra(gf(1), 2, {}, "twisted"), TwoMap([0b10, 0b11]), path)
+    code = main(["decompose", str(path), "--field-degree", str(degree)])
+    captured = capsys.readouterr()
+    if degree < 3:
+        field = "GF(2)" if degree == 1 else "GF(2^2)"
+        assert code == 2 and not captured.out
+        assert captured.err == (
+            "error: 2-nilpotent part does not complement the torus in h: h holds a semisimple "
+            f"element outside the torus, so the torus is maximal over {field} but not over a "
+            "larger field\n"
+        )
+    else:
+        assert code == 0 and "torus dim 2, cartan dim 2, nil dim 0\n" in captured.out
 
 
 def test_cli_screen_exit_codes(files, capsys):

@@ -10,6 +10,7 @@ from collections import Counter
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie2.algebra import (
     LieAlgebra,
@@ -73,6 +74,7 @@ from lie2.screening import (
     VERDICT_WITNESS,
     DimensionTransfer,
     ObstructionReport,
+    _pack,
     check_dim_bound,
     dimension_transfer,
     dispatch,
@@ -841,6 +843,8 @@ def _oracle_differential_cases():
             cases.append(permute_basis(g, tm, perm))
     for build in (f6, lambda: gl(2), lambda: sl(3)):
         cases.append(extend_scalars(*build(), 2))
+    for build in (f6, lambda: gl(2)):
+        cases.append(extend_scalars(*build(), 3))
     cases.extend(build() for _, build in vacuity_family()[:20])
     return cases
 
@@ -850,6 +854,25 @@ def test_oracle_shortcut_matches_plain_spin():
     for g, tm in _oracle_differential_cases():
         v = is_simple(g)
         assert (v.simple, v.counterexample, v.closures_run) == plain_spin_oracle(g), g.name
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_guard_bit_compare_matches_the_unpacked_fields(data):
+    # is_simple's skip test: some packed field w has 0 < w < T, for any
+    # 1 <= T <= 2^bits, with no borrow or carry between fields
+    bits = data.draw(st.integers(1, 20), label="bits")
+    top = (1 << bits) - 1
+    t = data.draw(st.one_of(st.sampled_from([1, 2, top, top + 1]), st.integers(1, top + 1)),
+                  label="T")
+    edges = [w for w in (0, t - 1, t, top) if w <= top]
+    fields = data.draw(st.lists(st.one_of(st.sampled_from(edges), st.integers(0, top)),
+                                min_size=1, max_size=8), label="fields")
+    rep = _pack([1] * len(fields), bits)
+    guard = rep << bits
+    packed = _pack(fields, bits)
+    found = ((t - 1) * rep + guard - packed) & (packed + rep * top) & guard
+    assert bool(found) == any(0 < w < t for w in fields)
 
 
 @pytest.mark.parametrize("k", [2, 3])
@@ -940,3 +963,24 @@ def test_screen_and_toral_rank_are_invariant_under_a_change_of_basis_over_gf4(bu
     h, tm2 = rebased(g, tm, seed=g.dim)
     assert maximal_torus(h, tm2).dim == maximal_torus(g, tm).dim
     assert screen_key(h, tm2) == screen_key(g, tm)
+
+
+def structure_key(g, tm):
+    """Root-dimension multiset, Delta class (rank 3 only) and oracle verdict."""
+    _, _, d = decomposition((g, tm))
+    delta = classify_delta(d).label if d.rank == 3 else None
+    return sorted(sp.dim for sp in d.roots.values()), delta, is_simple(g).simple
+
+
+STRUCTURE_CASES = REBASE_CASES + [
+    ("psl4", psl4),
+    ("f6_gf4", lambda: extend_scalars(*f6(), 2)),
+    ("gl2_gf4", lambda: extend_scalars(*gl(2), 2)),
+]
+
+
+@pytest.mark.parametrize("label,build", STRUCTURE_CASES,
+                         ids=[label for label, _ in STRUCTURE_CASES])
+def test_roots_delta_class_and_oracle_are_invariant_under_a_change_of_basis(label, build):
+    g, tm = build()
+    assert structure_key(*rebased(g, tm, seed=g.dim)) == structure_key(g, tm)
