@@ -6,20 +6,20 @@ Subcommands::
     lie2 decompose <file> [--field-degree K]
     lie2 rank <file> [--max-field-degree K]
     lie2 screen <file>
-    lie2 simple <file> [--budget N]
+    lie2 simple <file>
     lie2 paper-suite [--fixtures DIR]
 
 Exit codes are the same for every subcommand; README.md ("Command line")
 holds their one table.
 
-``decompose --field-degree`` accepts 0 (keep the file's field) or 1..16,
-``rank --max-field-degree`` 1..16 and ``simple --budget`` any N >= 1; a
-number outside its range is a usage error, exit 2, as argparse reports it.
-``simple --budget N`` runs the oracle on inputs with k*n <= floor(log2 N),
-which need fewer than N generator closures, and refuses larger ones.
+``decompose --field-degree`` accepts 0 (keep the file's field) or 1..16 and
+``rank --max-field-degree`` 1..16; a number outside its range is a usage
+error, exit 2, as argparse reports it.  ``simple`` refuses inputs with
+k*n > 20 (``screening.SIMPLE_ORACLE_BITS``), as the toral enumeration
+refuses k*n > 24.
 
-Errors go to stderr as ``error: ...``.  All output is deterministic given
-the flags and ``--seed``.
+Errors go to stderr as ``error: ...``.  Every check is exhaustive, so all
+output is deterministic given the flags.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import argparse
 import functools
 import json
 import os
-import random
 import sys
 from pathlib import Path
 
@@ -165,7 +164,7 @@ def cmd_screen(args) -> int:
 
 def cmd_simple(args) -> int:
     g, _ = fileio.load(args.file)
-    verdict = is_simple(g, budget_bits=args.budget.bit_length() - 1)
+    verdict = is_simple(g)
     if verdict.simple:
         print(f"algebra {g.name}: simple ({verdict.closures_run} generator closures)")
     else:
@@ -282,25 +281,16 @@ def _suite_fixture_checks(suite, name, g, tm):
             suite.check(name, "one-dim-ideal", rep.ok, f"dim {rep.subspace.dim}")
 
 
-def _suite_nsubspace_identity(suite, rng):
-    """Seeded random triples: n_subspace(s, d) == n_subspace(s, s + d)."""
+def _suite_nsubspace_identity(suite):
+    """Every ordered pair of distinct roots: n_subspace(s, d) == n_subspace(s, s + d)."""
     pool = [fixtures.f7(), fixtures.u1(), fixtures.u2(), fixtures.delta0((1, 2, 1, 2, 1, 1, 2))]
-    decomps = []
+    same = []
     for g, tm in pool:
-        decomps.append((g, root_decomposition(g, tm, maximal_torus(g, tm))))
-    ok = True
-    trials = 40
-    for _ in range(trials):
-        g, d = decomps[rng.randrange(len(decomps))]
+        d = root_decomposition(g, tm, maximal_torus(g, tm))
         roots = d.root_list()
-        sigma = roots[rng.randrange(len(roots))]
-        delta = roots[rng.randrange(len(roots))]
-        if sigma == delta:
-            continue
-        if n_subspace(g, d, sigma, delta) != n_subspace(g, d, sigma, sigma ^ delta):
-            ok = False
-            break
-    suite.check("corpus", "n-subspace-identity", ok, f"{trials} seeded triples")
+        same += [n_subspace(g, d, sigma, delta) == n_subspace(g, d, sigma, sigma ^ delta)
+                 for sigma in roots for delta in roots if sigma != delta]
+    suite.check("corpus", "n-subspace-identity", all(same), f"{len(same)} ordered root pairs")
 
 
 def _suite_vacuity(suite):
@@ -334,7 +324,6 @@ def cmd_paper_suite(args) -> int:
     if args.fixtures and not Path(args.fixtures).is_dir():
         raise FileFormatError(None, "Unreadable", f"--fixtures {args.fixtures}: not a directory")
     suite = _Suite()
-    rng = random.Random(args.seed)
     for name, build in _suite_corpus():
         try:
             g, tm = build()
@@ -348,19 +337,19 @@ def cmd_paper_suite(args) -> int:
                 _suite_fixture_checks(suite, g.name or path.stem, g, tm)
             except Lie2Error as exc:
                 suite.check(path.stem, "fixture", False, str(exc))
-    _suite_nsubspace_identity(suite, rng)
+    _suite_nsubspace_identity(suite)
     _suite_vacuity(suite)
     return suite.emit()
 
 
 # ---------------------------------------------------------------------------
 
-def _int_in(lo, hi=None):
-    """An argparse type: an integer in lo..hi, with no upper end when hi is None."""
+def _int_in(lo, hi):
+    """An argparse type: an integer in lo..hi."""
     def integer(text):
         value = int(text)
-        if value < lo or hi is not None and value > hi:
-            raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{'' if hi is None else hi}")
+        if not lo <= value <= hi:
+            raise argparse.ArgumentTypeError(f"{value} is not in {lo}..{hi}")
         return value
     return integer
 
@@ -372,8 +361,6 @@ def build_parser():
         prog="lie2",
         description="exact workbench for restricted Lie algebras over GF(2^k)",
     )
-    ap.add_argument("--seed", type=int, default=0,
-                    help="seed for any sampled (non-exhaustive) checks")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="check the Lie and 2-map axioms")
@@ -400,9 +387,6 @@ def build_parser():
 
     p = sub.add_parser("simple", help="brute-force simplicity oracle")
     p.add_argument("file")
-    p.add_argument("--budget", type=_int_in(1), default=1 << 20, metavar="N",
-                   help="generator closures allowed, at least 1: an input runs when "
-                        "k*n <= floor(log2 N)")
     p.set_defaults(func=cmd_simple)
 
     p = sub.add_parser("paper-suite", help="run the built-in check suite over the corpus")

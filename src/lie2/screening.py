@@ -582,7 +582,7 @@ def _pack(fields, bits: int) -> int:
     return sum(w << (j * (bits + 1)) for j, w in enumerate(fields))
 
 
-def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> SimplicityVerdict:
+def is_simple(g: LieAlgebra) -> SimplicityVerdict:
     """Brute-force simplicity oracle.
 
     Spins every 1-dimensional generator (all nonzero vectors over GF(2),
@@ -590,7 +590,8 @@ def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> Simplicit
     integer order, and declares simple iff every closure is the whole
     algebra and dim != 1.  Any proper nonzero ideal contains a nonzero
     vector, whose closure is then a proper nonzero ideal, so the
-    enumeration is sound and complete.
+    enumeration is sound and complete.  An algebra with k*n >
+    ``SIMPLE_ORACLE_BITS`` is refused with :class:`BudgetExceededError`.
 
     The brackets [v, b_j] of every v are kept in one packed int P, field j
     at bits [j*W, j*W + k*n) with W = k*n + 1, so that a zero guard bit
@@ -623,9 +624,9 @@ def is_simple(g: LieAlgebra, budget_bits: int = SIMPLE_ORACLE_BITS) -> Simplicit
     if n < 2:
         return SimplicityVerdict(False, None, 0, f"dimension {n} algebra is not simple")
     k, kn = f.k, f.k * n
-    if kn > budget_bits:
+    if kn > SIMPLE_ORACLE_BITS:
         raise BudgetExceededError(
-            f"simplicity oracle needs 2^{kn} closures, budget is 2^{budget_bits}"
+            f"simplicity oracle needs 2^{kn} closures, budget is 2^{SIMPLE_ORACLE_BITS}"
         )
     rep = _pack([1] * n, kn)
     guard = rep << kn

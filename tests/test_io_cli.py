@@ -444,16 +444,11 @@ def test_cli_contradiction_has_its_own_exit_code(files, capsys, monkeypatch):
 def test_cli_simple(files, capsys):
     assert main(["simple", files["f6"]]) == 0
     assert "not simple" in capsys.readouterr().out
-    assert main(["simple", files["f6"], "--budget", "8"]) == 2  # 2^6 > 8 closures
-
-
-@pytest.mark.parametrize("budget, bits", [("1", 0), ("3", 1), ("63", 5)])
-def test_cli_simple_budget_allows_floor_log2_bits(files, capsys, budget, bits):
-    # the dim-6 f6 over GF(2) needs k*n = 6 <= floor(log2 N)
-    assert main(["simple", files["f6"], "--budget", budget]) == 2
+    # the oracle's ceiling is k*n <= 20
+    assert main(["simple", files["abelian25"]]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: simplicity oracle needs 2^6 closures, budget is 2^{bits}\n"
-    assert main(["simple", files["f6"], "--budget", "64"]) == 0
+    assert captured.err == "error: simplicity oracle needs 2^25 closures, budget is 2^20\n"
+    assert not captured.out
 
 
 def test_cli_rank_stabilization(files, capsys):
@@ -484,8 +479,6 @@ def test_cli_rank_exits_2_when_every_degree_is_refused(files, capsys):
     ["decompose", "--field-degree", "-1"],
     ["rank", "--max-field-degree", "17"],
     ["rank", "--max-field-degree", "0"],
-    ["simple", "--budget", "-8"],
-    ["simple", "--budget", "0"],
 ])
 def test_cli_out_of_range_numbers_are_usage_errors(files, capsys, argv):
     with pytest.raises(SystemExit) as exc:
@@ -512,6 +505,19 @@ def test_cli_torus_search_has_no_mode_option(files, capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {argv[1]} greedy" in captured.err and not captured.out
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simple", "F", "--budget", "8"], "unrecognized arguments: --budget 8"),
+    (["--seed", "7", "paper-suite"], "invalid choice: '7'"),
+], ids=["budget", "seed"])
+def test_cli_has_no_tuning_options(files, capsys, argv, message):
+    # every check is exhaustive and the oracle's ceiling is a constant
+    with pytest.raises(SystemExit) as exc:
+        main([files["f6"] if a == "F" else a for a in argv])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and not captured.out
 
 
 def test_cli_paper_suite_with_fixture_dir(files, tmp_path, capsys):

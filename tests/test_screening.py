@@ -228,6 +228,54 @@ def test_kernel_confinement_requires_independence():
         kernel_confinement(g, tm, d, a, [a])
 
 
+# -- the rank-general lemmas at ranks 4 and 2 ---------------------------------------------
+
+def sl5_diagonal():
+    """sl(5) split by its diagonal torus h_0..h_3 (basis indices 20-23), with no search."""
+    g, tm = sl(5)
+    basis = tuple(unit(F2, i) for i in range(20, 24))
+    return g, tm, root_decomposition(g, tm, Torus(g.subspace(basis), basis))
+
+
+def test_dimension_transfer_on_sl5_at_rank_4():
+    g, tm, d = sl5_diagonal()
+    roots = d.root_list()
+    assert (d.rank, len(roots), center(g).dim) == (4, 10, 0)
+    statuses = Counter(dimension_transfer(g, tm, d, xi, eta).status
+                       for xi in roots for eta in roots if xi != eta)
+    assert statuses == {"DimsEqual": 60, "HypothesisNotMet": 30}
+
+
+@pytest.mark.parametrize("k, held, candidates", [(1, 30, 90), (2, 30, 360), (3, 0, 840)])
+def test_kernel_confinement_on_sl5_with_k_others(k, held, candidates):
+    # over GF(2) the ten roots of sl(5) are the pairs {i, j} in 0..4, each of dim 2, and
+    # alpha1 + lambda is a root iff the pairs meet.  So the others that apply are the three
+    # roots disjoint from alpha1, and any three of them sum to 0: at k = 3 every candidate
+    # is refused by a precondition, and the bound slice dim <= r - 1 - k is met at k <= 2
+    g, tm, d = sl5_diagonal()
+    roots = d.root_list()
+    confined = refused = 0
+    for alpha1 in roots:
+        for others in combinations([lam for lam in roots if lam != alpha1], k):
+            try:
+                rep = kernel_confinement(g, tm, d, alpha1, others)
+            except PreconditionError:
+                refused += 1
+                continue
+            assert rep.ok, (alpha1, others)
+            confined += 1
+    assert (confined, confined + refused) == (held, candidates)
+
+
+@pytest.mark.parametrize("build", [lambda: sl(3), psl4], ids=["sl3", "psl4"])
+def test_dimension_transfer_fires_on_every_pair_at_rank_2(build):
+    g, tm, d = decomposition(build)
+    roots = d.root_list()
+    statuses = [dimension_transfer(g, tm, d, xi, eta).status
+                for xi in roots for eta in roots if xi != eta]
+    assert d.rank == 2 and statuses == ["DimsEqual"] * 6
+
+
 def test_self_bracket_bounds_hold():
     for build in (f6, f6n, delta2, f7, u1, u2):
         g, tm, d = decomposition(build)
@@ -936,9 +984,14 @@ def random_basis(f, n, rng):
     return rows
 
 
+def rebase(g, tm, seed):
+    """g in a seeded random basis."""
+    return subquotient(g, tm, random_basis(g.field, g.dim, random.Random(seed)))
+
+
 def rebased(g, tm, seed):
     """g in a random basis; it must verify like g."""
-    h, tm2 = subquotient(g, tm, random_basis(g.field, g.dim, random.Random(seed)))
+    h, tm2 = rebase(g, tm, seed)
     assert verify_lie(h).ok and verify_two_map(h, tm2).ok
     return h, tm2
 
@@ -984,3 +1037,19 @@ STRUCTURE_CASES = REBASE_CASES + [
 def test_roots_delta_class_and_oracle_are_invariant_under_a_change_of_basis(label, build):
     g, tm = build()
     assert structure_key(*rebased(g, tm, seed=g.dim)) == structure_key(g, tm)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("build", [f6, f6n, f7, delta2, u1, u2], ids=lambda b: b.__name__)
+def test_axiom_verdicts_and_toral_rank_are_invariant_under_a_change_of_basis(build, seed):
+    g, tm = build()
+    h, tm2 = rebased(g, tm, seed)
+    assert maximal_torus(h, tm2).dim == maximal_torus(g, tm).dim
+    # a corruption made before the change of basis is still found after it
+    pairs = {(i, j): g.table[i][j] for i, j in combinations(range(g.dim), 2)}
+    pairs[(0, 1)] ^= 1  # [t_0, t_1] = t_0
+    bad = LieAlgebra(g.field, g.dim, pairs, g.name)
+    assert not verify_lie(bad).ok and not verify_lie(rebase(bad, tm, seed)[0]).ok
+    # t_0^[2] = 0; a root vector squares to 0 already, so the torus is where this shows
+    bad_tm = TwoMap((0,) + tm.images[1:])
+    assert not verify_two_map(g, bad_tm).ok and not verify_two_map(*rebase(g, bad_tm, seed)).ok
