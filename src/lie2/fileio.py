@@ -134,6 +134,8 @@ def loads(text: str):
             header = FORMAT_VERSION
             continue
         if tag == "name":
+            if name is not None:
+                raise FileFormatError(lineno, "DuplicateEntry", "name repeated")
             name = line.split(None, 1)[1] if len(parts) > 1 else ""
         elif tag == "dim":
             if dim is not None:

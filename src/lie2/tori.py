@@ -21,8 +21,9 @@ those bits over GF(2), for every k.  Two facts make that exact:
 So the tori with a toral basis are exactly the spans of commuting toral
 sets.  :func:`maximal_torus` is the one way to a torus and the toral
 rank: it enumerates every toral and searches the GF(2)-spans of
-commuting torals through generators of strictly increasing raw-bit pivot
-for one of maximum dimension; no visited-set is needed.
+commuting torals for one of maximum dimension.  It reaches each span
+exactly once, through its reduced echelon basis over the raw bits, so no
+visited-set is needed.
 
 Toral elements are found by one bit-sliced kernel for every field degree:
 x -> x^[2] + x is a quadratic map of the k*n raw bits of x, so it is
@@ -33,8 +34,8 @@ remaining high bits updates each table by xor on every flip (see
 bitsets over toral indices, read the algebra's raw-bit bracket table.  The
 search's set-up is linear in the number of torals: their raw-bit columns
 are read in C from one byte string (:func:`_bit_columns`), and each search
-state walks only the torals whose pivot class can still beat the best span
-found so far.
+state walks its candidates pivot class by pivot class, stopping at the
+first class from which no span can beat the best one found so far.
 
 Rank values are relative to the coefficient field: over a small field a
 2-map can be invertible on an abelian subalgebra that contains no toral
@@ -226,31 +227,36 @@ def _max_toral_span(g: LieAlgebra, torals):
     field degree k.  Two facts make that enough (see the module docstring):
     the GF(2)-span of commuting torals consists of torals, so each such
     span has a basis of torals with pairwise-distinct raw-bit pivots, its
-    canonical rows; and GF(2)-independent commuting torals are
+    reduced echelon basis; and GF(2)-independent commuting torals are
     GF(2^k)-independent, so the GF(2)-dimension of the span is the
-    dimension of the torus it spans.  A state is extended only by torals
-    with a strictly larger pivot that commute with every generator, so the
-    generators stay independent and only the best span needs reducing.
-    Every nonzero vector of the span that further generators add is a
-    candidate, and a span has a basis with distinct pivots in any order of
-    the raw bits, so in every bit order the candidates' distinct pivots
-    bound all further growth.  The prune takes the smaller count of two
-    orders: the pivot order, whose count hangs on how the basis is
-    numbered, and one that takes first the bit set in the most torals,
-    then the bit set in the most of the rest, and so on, whose count does
-    not.  Neither cuts a subtree holding a longer span than the best so
-    far, so the result is the first maximum span in ascending index order.
+    dimension of the torus it spans.  A state is extended only by a toral
+    that commutes with every generator, has a larger pivot than the last
+    one, and has its pivot set in no generator; it has no bit set at an
+    earlier pivot, since those lie below its own.  The generators are then
+    the span's reduced echelon basis, which is unique, so each span is
+    reached exactly once and only the best span needs reducing.
 
-    Candidate sets are bitsets over toral indices, visited in ascending
-    index order, and commuting sets come from ``g.raw``.  The set-up is
-    linear in the number m of torals: the bit columns ``has[q]`` (the
-    torals with raw bit q set) are built in C by :func:`_bit_columns`, the
-    pivot classes ``pivots[q]`` (the torals with pivot q) follow as
-    has[q] minus the columns below q, and a toral's pivot is computed only
-    when it is visited.  A state walks only its live candidates, those in a
-    pivot class whose growth bound still beats the best span, and narrows
-    them again whenever the best span grows, so it never touches the m
-    torals one by one once no class can win.  Returns (rows, generators).
+    A state walks its candidates pivot class by pivot class, in ascending
+    pivot order, and by index within a class.  Every child from class q on
+    builds its span inside the candidates with pivot at least q, and a
+    span has a basis with distinct pivots in any order of the raw bits, so
+    in every bit order their distinct pivots bound its growth.  The bound
+    takes the smaller count of two orders: the pivot order, whose count
+    hangs on how the basis is numbered, and one that takes first the bit
+    set in the most torals, then the bit set in the most of the rest, and
+    so on, whose count does not.  The candidates only shrink along the
+    walk, so the bound only falls, and the state stops at the first class,
+    read again after each child, that cannot beat the best span.  No
+    subtree holding a longer span than the best so far is cut, so the
+    result is the first maximum span of the unpruned walk.
+
+    Candidate sets are bitsets over toral indices.  The set-up is linear in
+    the number m of torals: the bit columns ``has[q]`` (the torals with raw
+    bit q set) are built in C by :func:`_bit_columns`, the pivot classes
+    ``pivots[q]`` (the torals with pivot q) follow as has[q] minus the
+    columns below q, and a toral's successors, the torals that may follow
+    it as generators, are computed from ``g.raw`` only when it is visited.
+    Returns (rows, generators).
     """
     f, k = g.field, g.field.k
     bits = k * g.dim
@@ -261,29 +267,29 @@ def _max_toral_span(g: LieAlgebra, torals):
     for col in has:
         pivots.append(col & ~below)
         below |= col
-    above = [0] * bits    # above[p]: torals with pivot greater than p
-    for p in range(bits - 2, -1, -1):
-        above[p] = above[p + 1] | pivots[p + 1]
     table = g.raw
     adj = {}
 
-    def commuting(i):
-        """The torals that commute with torals[i], as a bitset."""
+    def successors(i):
+        """The torals that commute with torals[i] and whose pivot is not one
+        of its set bits, as a bitset."""
         s = adj.get(i)
         if s is None:
             cols = [0] * bits  # cols[q] = [torals[i], u_q]
+            drop = 0
             t = torals[i]
             while t:
                 low = t & -t
-                cols = [c ^ x for c, x in zip(cols, table[low.bit_length() - 1])]
+                q = low.bit_length() - 1
+                cols = [c ^ x for c, x in zip(cols, table[q])]
+                drop |= pivots[q]
                 t ^= low
             coords = [0] * bits  # raw bit r of [torals[i], torals[j]], every j at once
             for q, col in enumerate(cols):
                 _xor_into(coords, col, has[q])
-            nonzero = 0
             for c in coords:
-                nonzero |= c
-            s = adj[i] = everyone & ~nonzero
+                drop |= c
+            s = adj[i] = everyone & ~drop
         return s
 
     # classes[c]: the torals whose first set bit in the second bit order is
@@ -305,37 +311,22 @@ def _max_toral_span(g: LieAlgebra, torals):
         nonlocal best
         if len(gens) > len(best):
             best = gens
-        if not cand:
-            return
         pivset = [q for q in range(bits) if cand & pivots[q]]
-        if len(gens) + min(len(pivset), spread(cand)) <= len(best):
-            return
-        # growth bound of each child: the span it starts lies in the
-        # candidates with pivot at least its own
-        bound = [(q, len(gens) + min(len(pivset) - i, spread(cand & (pivots[q] | above[q]))))
-                 for i, q in enumerate(pivset)]
-
-        def live():
-            """The candidates whose pivot class can still beat the best span."""
-            s = 0
-            for q, b in bound:
-                if b > len(best):
-                    s |= pivots[q]
-            return cand & s
-
-        reached = len(best)
-        rest = live()
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            idx = low.bit_length() - 1
-            t = torals[idx]
-            sub = cand & above[(t & -t).bit_length() - 1] & commuting(idx)
-            if sub or len(gens) >= len(best):  # a leaf matters only as a new best
-                visit(gens + (t,), sub)
-                if len(best) > reached:
-                    reached = len(best)
-                    rest &= live()
+        for i, q in enumerate(pivset):
+            # cand holds the classes from q on, inside which every child from here
+            # builds its span; the children of class q take generators above it
+            reach = len(gens) + min(len(pivset) - i, spread(cand))
+            rest = cand & pivots[q]
+            cand ^= rest
+            while rest:
+                if reach <= len(best):
+                    return
+                low = rest & -rest
+                rest ^= low
+                idx = low.bit_length() - 1
+                sub = cand & successors(idx)
+                if sub or len(gens) >= len(best):  # a leaf matters only as a new best
+                    visit(gens + (torals[idx],), sub)
 
     visit((), everyone)
     return tuple(rref_rows(f, list(best))[0]), best

@@ -137,14 +137,17 @@ def test_missing_twomap_lines():
 
 # a second dim or field_degree line would redefine the space that earlier
 # bracket lines were parsed in: a crash in LieAlgebra.from_pairs for the
-# first file, a different algebra over GF(2) for the second
+# first file, a different algebra over GF(2) for the second; a second name
+# line would silently rename the algebra
 REPEATED_DIM = "lie2algebra 1\nname t\ndim 3\nfield_degree 1\nbracket 0 2 1,0,0\ndim 2\n" \
     "twomap 0 0,0\ntwomap 1 0,0\n"
 REPEATED_DEGREE = "lie2algebra 1\nname t\ndim 2\nfield_degree 2\nbracket 0 1 11,00\n" \
     "field_degree 1\ntwomap 0 0,0\ntwomap 1 0,0\n"
+REPEATED_NAME = "lie2algebra 1\nname first\nname second\ndim 1\nfield_degree 1\ntwomap 0 0\n"
+REPEATED = [(REPEATED_DIM, 6), (REPEATED_DEGREE, 6), (REPEATED_NAME, 3)]
 
 
-@pytest.mark.parametrize("text, lineno", [(REPEATED_DIM, 6), (REPEATED_DEGREE, 6)])
+@pytest.mark.parametrize("text, lineno", REPEATED)
 def test_repeated_dim_or_field_degree_rejected(text, lineno):
     with pytest.raises(FileFormatError) as err:
         loads(text)
@@ -153,12 +156,13 @@ def test_repeated_dim_or_field_degree_rejected(text, lineno):
 
 @pytest.mark.parametrize("command", ["verify", "decompose", "rank", "screen", "simple"])
 def test_cli_refuses_repeated_dim_or_field_degree(tmp_path, capsys, command):
-    for i, text in enumerate([REPEATED_DIM, REPEATED_DEGREE]):
+    for i, (text, lineno) in enumerate(REPEATED):
         path = tmp_path / f"repeated{i}.l2a"
         path.write_text(text)
         assert main([command, str(path)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: line 6: DuplicateEntry") and not captured.out
+        assert captured.err.startswith(f"error: line {lineno}: DuplicateEntry")
+        assert not captured.out
 
 
 _FUZZ_SEEDS = [dumps(*build()) for build in (

@@ -376,7 +376,7 @@ def test_slices_match_the_canonical_basis_route(slice_cases):
             got = named_construction(g, d, *hit).subspace
             assert got == reference_construction(g, tm, d, *hit), (name, hit)
             counts["named"] += 1
-    assert counts == {"construction": 22848, "named": 145, "obstruction": 20,
+    assert counts == {"construction": 24192, "named": 145, "obstruction": 20,
                       "self-bracket": 1127}
 
 

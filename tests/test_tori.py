@@ -192,22 +192,31 @@ def test_bitset_search_matches_generic_search(name, k):
     assert is_torus(g, tm, Subspace(f, g.dim, rows))
 
 
-def _first_longest_chain(g, torals):
-    """Unpruned reference: the first longest chain of pairwise-commuting torals
-    with increasing pivots, each step taking candidates in ascending index order."""
-    piv = [t & -t for t in torals]
+def _echelon_walk(g, torals):
+    """Unpruned reference walk: every chain of pairwise-commuting torals with
+    increasing pivots (lowest set bits) in which no generator has the pivot of a
+    later one set, so that the chain is its span's reduced echelon basis over
+    GF(2).  Each step takes candidates pivot class first, then by index."""
+    piv = [(t & -t).bit_length() - 1 for t in torals]
     commute = [[g.bracket(s, t) == 0 for t in torals] for s in torals]
-    best = ()
+    order = sorted(range(len(torals)), key=lambda j: (piv[j], j))
 
     def visit(chain, last):
-        nonlocal best
-        if len(chain) > len(best):
-            best = tuple(torals[i] for i in chain)
-        for j in range(len(torals)):
-            if piv[j] > last and all(commute[i][j] for i in chain):
-                visit(chain + [j], piv[j])
+        yield tuple(torals[i] for i in chain)
+        for j in order:
+            if piv[j] > last and all(commute[i][j] and not torals[i] >> piv[j] & 1
+                                     for i in chain):
+                yield from visit(chain + [j], piv[j])
 
-    visit([], 0)
+    return visit([], -1)
+
+
+def _first_longest_chain(g, torals):
+    """The first chain of maximum length in the unpruned walk."""
+    best = ()
+    for chain in _echelon_walk(g, torals):
+        if len(chain) > len(best):
+            best = chain
     return best
 
 
@@ -215,14 +224,14 @@ def _first_longest_chain(g, torals):
 # of them lie in pivot classes that can no longer beat it and are not walked.
 PRUNE_CORPUS = dict(CORPUS, delta0_1111122=lambda: delta0((1, 1, 1, 1, 1, 2, 2)))
 PRUNE_CASES = [("f6", 1), ("f6", 2), ("gltor", 2), ("rank2sq", 2), ("gl2", 2), ("witt2", 2),
-               ("delta0_1111122", 1)]
+               ("sl3", 1), ("gl3", 1), ("delta0_1111122", 1)]
 
 
 @pytest.mark.parametrize("name,k", PRUNE_CASES, ids=[f"{n}-gf{2 ** k}" for n, k in PRUNE_CASES])
 @pytest.mark.parametrize("relabel", range(3))
 def test_pruned_search_returns_first_longest_chain(name, k, relabel):
     # the growth bounds cut only subtrees that cannot beat the best span, so
-    # the generators are those of the unpruned search on every basis numbering
+    # the generators are those of the unpruned walk on every basis numbering
     g, tm = PRUNE_CORPUS[name]()
     perm = random.Random(f"{name}/{relabel}").sample(range(g.dim), g.dim)
     g, tm = permute_basis(g, tm, perm)
@@ -230,6 +239,39 @@ def test_pruned_search_returns_first_longest_chain(name, k, relabel):
         g, tm = extend_scalars(g, tm, k)
     torals = toral_elements(g, tm)
     assert _max_toral_span(g, torals)[1] == _first_longest_chain(g, torals)
+
+
+def _span(vectors):
+    """All GF(2)-combinations of the vectors, as a frozenset."""
+    span = {0}
+    for v in vectors:
+        span |= {w ^ v for w in span}
+    return frozenset(span)
+
+
+# The number of GF(2)-spans of pairwise-commuting torals, the empty span
+# included.  delta0((1,1,1,1,1,2,2)) is left out: its 2,321 spans take 3 s.
+SPAN_COUNTS = [("f6", 1, 79), ("gltor", 1, 65), ("gl2", 1, 11), ("sl3", 1, 57), ("gl3", 1, 226),
+               ("rank2sq", 1, 6), ("witt2", 1, 5), ("f6", 2, 493), ("gl2", 2, 32)]
+
+
+@pytest.mark.parametrize("name,k,count", SPAN_COUNTS,
+                         ids=[n if k == 1 else f"{n}-gf{2 ** k}" for n, k, _ in SPAN_COUNTS])
+def test_walk_reaches_every_commuting_span_once(name, k, count):
+    g, tm = CORPUS[name]()
+    if k > 1:
+        g, tm = extend_scalars(g, tm, k)
+    torals = toral_elements(g, tm)
+    walked = [_span(chain) for chain in _echelon_walk(g, torals)]
+    # the same spans, grown by closure from the empty span one commuting toral at a time
+    spans, frontier = {frozenset({0})}, [frozenset({0})]
+    while frontier:
+        grown = {s | {v ^ t for v in s} for s in frontier for t in torals
+                 if t not in s and all(g.bracket(t, v) == 0 for v in s)}
+        frontier = list(grown - spans)
+        spans |= grown
+    assert len(walked) == len(set(walked)) == len(spans) == count
+    assert set(walked) == spans
 
 
 # -- torus recognition -----------------------------------------------------------
@@ -319,10 +361,11 @@ def test_maximal_torus_gl2():
 
 
 def test_maximal_torus_known_ranks_on_fixtures():
-    # gl(n) has its n-dimensional diagonal torus and the Witt algebras rank 1
+    # gl(n) has its n-dimensional diagonal torus, sl(n) rank n - 1 and the
+    # Witt algebras rank 1
     for build, rank in ((f6, 3), (f7, 3), (u1, 3), (lambda: gl(2), 2), (lambda: gl(3), 3),
-                        (rank2sq, 2), (lambda: witt(1), 1), (lambda: witt(2), 1),
-                        (lambda: torus(3), 3)):
+                        (lambda: gl(4), 4), (lambda: sl(4), 3), (rank2sq, 2),
+                        (lambda: witt(1), 1), (lambda: witt(2), 1), (lambda: torus(3), 3)):
         g, tm = build()
         t = maximal_torus(g, tm)
         assert t.dim == rank, g.name
@@ -388,7 +431,7 @@ def test_rank_is_field_relative():
 
 
 def test_returned_torus_basis_is_toral():
-    for build in (f6, f7, lambda: gl(3), u2):
+    for build in (f6, f7, lambda: gl(3), lambda: sl(3), u2):
         g, tm = build()
         t = maximal_torus(g, tm)
         for b in t.toral_basis:
