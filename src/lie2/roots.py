@@ -28,7 +28,6 @@ and Delta6, or NonStandardBasis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from types import MappingProxyType
@@ -41,6 +40,7 @@ from .algebra import (
 )
 from .errors import NonToralBasisError, PreconditionError, SplitFailureError
 from .linalg import Subspace, kernel_of_map, rref_rows, vector
+from .record import Record
 from .restricted import TwoMap, jcs_decompose, span_of_squares
 from .tori import Torus
 
@@ -294,13 +294,14 @@ def relabellings():
     return MappingProxyType(table)
 
 
-@dataclass(frozen=True)
-class DeltaClass:
+class DeltaClass(Record):
     """Configuration label plus the dual-basis change realizing it."""
 
-    label: str           # "Delta0".."Delta4", "Delta6" or "NonStandardBasis"
-    index: int | None    # key of DELTA_SETS, None for NonStandardBasis
-    basis_change: tuple | None  # GL(3, GF(2)) matrix A with A(observed) = canonical
+    __slots__ = (
+        "label",         # "Delta0".."Delta4", "Delta6" or "NonStandardBasis"
+        "index",         # key of DELTA_SETS, None for NonStandardBasis
+        "basis_change",  # GL(3, GF(2)) matrix A with A(observed) = canonical, or None
+    )
 
     def __repr__(self):
         return f"DeltaClass({self.label})"

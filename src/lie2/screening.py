@@ -54,7 +54,6 @@ every closure in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 
 from .algebra import (
@@ -67,6 +66,7 @@ from .algebra import (
 from .errors import BudgetExceededError, ContradictionError, PreconditionError
 from .field import gf
 from .linalg import Subspace, kernel_of_map, rref_rows
+from .record import Record
 from .restricted import TwoMap, square
 from .roots import (
     DELTA_SETS,
@@ -101,16 +101,11 @@ VERDICT_PASSES = "PassesNecessaryConditions"
 VERDICT_OUT_OF_SCOPE = "OutOfScope"
 
 
-@dataclass(frozen=True)
-class IdealReport:
+class IdealReport(Record):
     """A constructed subspace with its independently recomputed status."""
 
-    lemma: str | None
-    subspace: Subspace
-    verified_ideal: bool
-    proper: bool
-    nonzero: bool
-    basis_change: tuple | None = None
+    __slots__ = ("lemma", "subspace", "verified_ideal", "proper", "nonzero", "basis_change")
+    _defaults = {"basis_change": None}
 
     @property
     def ok(self):
@@ -144,12 +139,8 @@ def _ideal_report(g: LieAlgebra, lemma, subspace, basis_change=None) -> IdealRep
 # dimension bound (centerless rank-r algebras)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimBoundReport:
-    independent_roots: int
-    rank: int
-    dim: int
-    ok: bool
+class DimBoundReport(Record):
+    __slots__ = ("independent_roots", "rank", "dim", "ok")
 
 
 def check_dim_bound(g: LieAlgebra, d: RootDecomposition) -> DimBoundReport:
@@ -182,14 +173,12 @@ def one_dim_rootspace_ideal(g: LieAlgebra, d: RootDecomposition) -> IdealReport:
 # squares linking dimensions of root spaces
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class DimensionTransfer:
-    status: str  # "HypothesisNotMet" or "DimsEqual"
-    witness: int | None = None
-    dim_eta: int | None = None
-    dim_xi_eta: int | None = None
-    rank_into: int | None = None
-    rank_back: int | None = None
+class DimensionTransfer(Record):
+    __slots__ = (
+        "status",  # "HypothesisNotMet" or "DimsEqual"
+        "witness", "dim_eta", "dim_xi_eta", "rank_into", "rank_back",
+    )
+    _defaults = dict.fromkeys(__slots__[1:])
 
 
 def dimension_transfer(g, tm, d, xi: int, eta: int) -> DimensionTransfer:
@@ -225,12 +214,8 @@ def dimension_transfer(g, tm, d, xi: int, eta: int) -> DimensionTransfer:
     return DimensionTransfer("DimsEqual", witness, source.dim, target.dim, rank_into, rank_back)
 
 
-@dataclass(frozen=True)
-class ConfinementReport:
-    confined: bool
-    slice_dim: int
-    bound_dim_ok: bool
-    slice_subspace: Subspace
+class ConfinementReport(Record):
+    __slots__ = ("confined", "slice_dim", "bound_dim_ok", "slice_subspace")
 
     @property
     def ok(self):
@@ -434,13 +419,11 @@ def dispatch(dims):
 _OBSTRUCTION_KILLS = {1: (1, 2, 4), 2: (4,), 3: (1, 2, 4), 4: (1,), 6: (7,)}
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    configuration: str
-    contained: bool
-    projection_dim: int
-    slice_dim: int
-    obstruction: bool  # slice dim < rank, so self-brackets cannot rebuild t
+class ObstructionReport(Record):
+    __slots__ = (
+        "configuration", "contained", "projection_dim", "slice_dim",
+        "obstruction",  # slice dim < rank, so self-brackets cannot rebuild t
+    )
 
     @property
     def ok(self):
@@ -496,12 +479,9 @@ def missing_roots_ideal(g, d: RootDecomposition) -> IdealReport:
 # the screen and the oracle
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ScreenResult:
-    verdict: str
-    ideal: IdealReport | None = None
-    reason: str | None = None
-    unequal_pair: tuple | None = None
+class ScreenResult(Record):
+    __slots__ = ("verdict", "ideal", "reason", "unequal_pair")
+    _defaults = dict.fromkeys(__slots__[1:])
 
     def __repr__(self):
         extra = f", {self.reason}" if self.reason else ""
@@ -569,12 +549,14 @@ def _first_unequal_pair(d: RootDecomposition):
     return None
 
 
-@dataclass(frozen=True)
-class SimplicityVerdict:
-    simple: bool
-    counterexample: int | None  # generator whose closure is a proper nonzero ideal
-    closures_run: int
-    reason: str | None = None
+class SimplicityVerdict(Record):
+    __slots__ = (
+        "simple",
+        "counterexample",  # generator whose closure is a proper nonzero ideal, or None
+        "closures_run",
+        "reason",
+    )
+    _defaults = {"reason": None}
 
 
 def _pack(fields, bits: int) -> int:

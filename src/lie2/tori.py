@@ -25,17 +25,25 @@ commuting torals for one of maximum dimension.  It reaches each span
 exactly once, through its reduced echelon basis over the raw bits, so no
 visited-set is needed.
 
-Toral elements are found by one bit-sliced kernel for every field degree:
-x -> x^[2] + x is a quadratic map of the k*n raw bits of x, so it is
-evaluated on all 2^12 assignments of a low block of bits at once, one
-truth-table int per output coordinate, while a Gray-code walk over the
-remaining high bits updates each table by xor on every flip (see
-:func:`toral_elements`).  It and the torus search, whose candidate sets are
-bitsets over toral indices, read the algebra's raw-bit bracket table.  The
-search's set-up is linear in the number of torals: their raw-bit columns
-are read in C from one byte string (:func:`_bit_columns`), and each search
-state walks its candidates pivot class by pivot class, stopping at the
-first class from which no span can beat the best one found so far.
+Toral elements are the zeros of F(x) = x^[2] + x, a quadratic map of the
+k*n raw bits of x whose cross terms are the brackets [u_a, u_b] of raw
+bits in different coordinates.  Two kernels find them (see
+:func:`toral_elements`).  Once the raw bits W of a vertex cover of the
+basis bracket graph are fixed, every cross term has a fixed factor, so F
+is linear in the other bits: the solve walk takes the 2^|W| assignments
+of W in Gray-code order, with one linear solve each.  On a root-vector
+basis the torus covers the brackets and |W| is k*rank.  Where the cover is
+most of the basis (sl(n), gl(n), witt(m), any random basis) the bit-sliced
+kernel runs instead: it evaluates F on all 2^12 assignments of a low block
+of bits at once, one truth-table int per output coordinate, while a
+Gray-code walk over the remaining high bits updates each table by xor on
+every flip.  The choice compares the two walks' sizes.  Both kernels and
+the torus search, whose candidate sets are bitsets over toral indices,
+read the algebra's raw-bit bracket table.  The search's set-up is linear
+in the number of torals: their raw-bit columns are read in C from one
+byte string (:func:`_bit_columns`), and each search state walks its
+candidates pivot class by pivot class, stopping at the first class from
+which no span can beat the best one found so far.
 
 Rank values are relative to the coefficient field: over a small field a
 2-map can be invertible on an abelian subalgebra that contains no toral
@@ -46,24 +54,27 @@ line surface reports this per degree).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from array import array
+from operator import xor
 
 from .algebra import LieAlgebra
 from .errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from .field import gf
-from .linalg import Subspace, kernel_of_map, rref_rows, vscale
+from .linalg import Subspace, _reduce, kernel_of_map, reduce_vector, rref_rows, vscale
+from .record import Record
 from .restricted import TwoMap, _raw_images, square
 
 TORAL_ENUM_BITS = 24        # ceiling on k*n for exhaustive toral enumeration
 _LOW_BITS = 12              # low-block width of the bit-sliced toral enumeration
+_F2 = gf(1)
+assert array("I").itemsize * 8 >= TORAL_ENUM_BITS  # _bit_columns packs a toral per item
 
 
-@dataclass(frozen=True)
-class Torus:
+class Torus(Record):
     """A torus together with a basis of toral elements."""
 
-    subspace: Subspace
-    toral_basis: tuple
+    __slots__ = ("subspace", "toral_basis")  # Subspace, tuple
 
     @property
     def dim(self) -> int:
@@ -85,31 +96,73 @@ def toral_elements(g: LieAlgebra, tm: TwoMap):
     """All nonzero t with t^[2] = t, by exhaustive enumeration, sorted ascending.
 
     Over the k*n raw bits x_a of a vector, F(x) = x^[2] + x is quadratic:
-    F(x) = sum_a x_a F(u_a) + sum_{a<b} x_a x_b P(u_a, u_b), where u_a = 1 << a
-    and P is the polar form of squaring: ``g.raw[a][b]`` for a < b in different
-    coordinates, zero within one (see :func:`lie2.restricted.square`).  The
-    bits split into a low block of h = min(k*n, _LOW_BITS) bits and a high
-    block.  F is evaluated on all 2^h low assignments at once, bit-sliced:
-    coordinate q of F is one 2^h-bit int whose bit i is that coordinate at
-    low assignment i.  The high block is walked in Gray-code order; flipping
-    high bit u_b adds the constant F(u_b) + P(hi, u_b) and the cross term
-    P(lo, u_b), which is linear in the low bits and comes from a per-flip
-    table.  The torals under one high assignment are the low assignments at
-    which no coordinate is set.
+    F(x) = sum_a x_a F(u_a) + sum_{a<b} x_a x_b [u_a, u_b], where u_a = 1 << a
+    and the cross term [u_a, u_b] = ``g.raw[a][b]`` is zero within one
+    coordinate (see :func:`lie2.restricted.square`).  Two kernels solve
+    F(x) = 0.  The bit-sliced one (:func:`_torals_sliced`) walks
+    2^(k*n - h) assignments of the high bits, h = min(k*n, _LOW_BITS), each
+    evaluating F on all 2^h low assignments at once.  The solve walk
+    (:func:`_torals_solved`) fixes the raw bits W of a vertex cover of the
+    basis bracket graph (:func:`_cover`): every cross term then has a fixed
+    factor, so F is linear in the other bits and each of the 2^|W|
+    assignments costs one linear solve.  The solve walk runs iff
+    2^|W| < h * 2^(k*n - h) or W is empty (F is then linear), which holds
+    on root-vector bases, where the torus covers the brackets; on sl(n),
+    gl(n), witt(m) or a random basis the cover is most of the basis and
+    the bit-sliced kernel runs.
     """
-    f, n = g.field, g.dim
-    bits = f.k * n
+    bits = g.field.k * g.dim
     if bits > TORAL_ENUM_BITS:
         raise BudgetExceededError(
             f"toral enumeration needs 2^{bits} candidates, budget is 2^{TORAL_ENUM_BITS}"
         )
-    k, table = f.k, g.raw
-    lin = [s ^ (1 << a) for a, s in enumerate(_raw_images(g, tm))]  # F(u_a)
-    polar = [[0] * bits for _ in range(bits)]  # P(u_a, u_b), zero within a coordinate
-    for a in range(bits):
-        for b in range((a // k + 1) * k, bits):
-            polar[a][b] = polar[b][a] = table[a][b]
+    cover = _cover(g)
+    return _torals_sliced(g, tm) if cover is None else _torals_solved(g, tm, cover)
 
+
+def _cover(g: LieAlgebra):
+    """A vertex cover of the basis bracket graph, or None where the solve walk loses.
+
+    b_i and b_j are joined when [b_i, b_j] != 0, which is when some cross
+    term [u_a, u_b] of their raw bits is.  The basis is taken by ascending
+    degree, then index; a vector joined to one already left out joins the
+    cover, so the vectors left out pairwise commute.  The greedy stops with
+    None as soon as a vector joining the cover makes its 2^|W| assignments
+    reach h * 2^(k*n - h), h = min(k*n, _LOW_BITS): the bit-sliced walk's
+    2^(k*n - h) steps, each counted as h solve steps.  Costs O(n^2) on the
+    basis, in C, not O((k*n)^2) on the raw bits.
+    """
+    k, table = g.field.k, g.table
+    bits = k * g.dim
+    h = min(bits, _LOW_BITS)
+    limit = h << (bits - h)
+    zeros = [row.count(0) for row in table]
+    cover, out = [], []
+    for i in sorted(range(g.dim), key=zeros.__getitem__, reverse=True):  # stable
+        if any(map(table[i].__getitem__, out)):
+            cover.append(i)
+            if 1 << (k * len(cover)) >= limit:
+                return None
+        else:
+            out.append(i)
+    return cover
+
+
+def _torals_sliced(g: LieAlgebra, tm: TwoMap):
+    """The torals by the bit-sliced Gray-code walk (Bouillaguet et al., CHES 2010).
+
+    The raw bits split into a low block of h = min(k*n, _LOW_BITS) bits and a
+    high block.  F is evaluated on all 2^h low assignments at once,
+    bit-sliced: coordinate q of F is one 2^h-bit int whose bit i is that
+    coordinate at low assignment i.  The high block is walked in Gray-code
+    order; flipping high bit u_b adds the constant F(u_b) + [hi, u_b] and
+    the cross term [lo, u_b], which is linear in the low bits and comes from
+    a per-flip table.  The torals under one high assignment are the low
+    assignments at which no coordinate is set.
+    """
+    bits = g.field.k * g.dim
+    polar = g.raw  # [u_a, u_b], zero within a coordinate
+    lin = [s ^ (1 << a) for a, s in enumerate(_raw_images(g, tm))]  # F(u_a)
     h = min(bits, _LOW_BITS)
     full = (1 << (1 << h)) - 1
     # xs[a]: the low assignments with bit a set
@@ -120,7 +173,7 @@ def toral_elements(g: LieAlgebra, tm: TwoMap):
         _xor_into(cur, lin[a], xs[a])
         for b in range(a + 1, h):
             _xor_into(cur, polar[a][b], xs[a] & xs[b])
-    flips = []  # flips[b - h]: coordinate tables of P(lo, u_b)
+    flips = []  # flips[b - h]: coordinate tables of [lo, u_b]
     for b in range(h, bits):
         tables = [0] * bits
         for a in range(h):
@@ -134,7 +187,7 @@ def toral_elements(g: LieAlgebra, tm: TwoMap):
             b = (step & -step).bit_length() - 1
             cur = [t ^ d for t, d in zip(cur, flips[b])]
             b += h
-            const = lin[b]  # F(u_b) + P(hi, u_b)
+            const = lin[b]  # F(u_b) + [hi, u_b]
             rest = hi
             while rest:
                 low = rest & -rest
@@ -150,6 +203,67 @@ def toral_elements(g: LieAlgebra, tm: TwoMap):
             low = zeros & -zeros
             out.append(hi | (low.bit_length() - 1))
             zeros ^= low
+    out.remove(0)  # F(0) = 0
+    out.sort()
+    return out
+
+
+def _torals_solved(g: LieAlgebra, tm: TwoMap, cover):
+    """The torals by one linear solve per assignment of the cover's raw bits W.
+
+    For w over W and y over the other bits S, no two of which have a cross
+    term, F(w + y) = F(w) + M(w) y, where column s of M(w) is
+    F(u_s) + [w, u_s].  So the torals over w are empty or one coset
+    y_p + ker M(w).  W is walked in Gray-code order; flipping u_a adds
+    cols[a] = F(u_a) + [w, u_a] to F(w) and the row ``g.raw[a]`` to every
+    column, one xor each.  Each step is one tag-augmented elimination
+    through :func:`lie2.linalg._reduce`: column s carries raw bit s
+    mirrored into a tag block above the image, so a column whose image
+    cancels (a zero column at once) holds a kernel vector in its tag, and
+    F(w) reduced against the stored columns leaves y_p in its tag or has
+    no solution.  The columns go in ascending s, so the kernel vector found
+    at column s has highest raw bit s, its lowest tag bit once mirrored;
+    :func:`lie2.linalg.reduce_vector` against the earlier ones clears their
+    highest bits from it and then from y_p.  Doubling the coset over that
+    reduced basis, lowest leading bit first, emits it in ascending order,
+    so the final sort only merges one sorted run per w.
+    """
+    k = g.field.k
+    bits = k * g.dim
+    raw = g.raw
+    cols = [s ^ (1 << a) for a, s in enumerate(_raw_images(g, tm))]  # F(u_a) + [w, u_a]
+    covered = set(cover)
+    walk = [i * k + s for i in cover for s in range(k)]
+    free = [(a, 1 << (2 * bits - 1 - a)) for a in range(bits) if a // k not in covered]
+    image = (1 << bits) - 1
+    mirror = f"0{bits}b"  # format(t, mirror)[::-1] reads a tag in raw bit order
+
+    out = []
+    fw = w = 0
+    for step in range(1 << len(walk)):
+        if step:  # flip u_a, a the raw bit of the lowest set bit of step
+            a = walk[(step & -step).bit_length() - 1]
+            fw ^= cols[a]
+            cols = list(map(xor, cols, raw[a]))
+            w ^= 1 << a
+        echelon = {}
+        kernel = []
+        for a, tag in free:
+            c = cols[a]
+            row = _reduce(_F2, echelon, c | tag, bits) if c else tag
+            if not row & image:  # tag bit a and tag bits of raw bits below a
+                kernel.append(row >> bits)
+        y = _reduce(_F2, echelon, fw, 0)
+        if y & image:
+            continue
+        basis = []  # reduced, by ascending highest raw bit
+        for v in kernel:
+            basis.append(reduce_vector(_F2, basis, v))
+        run = [w | int(format(reduce_vector(_F2, basis, y >> bits), mirror)[::-1], 2)]
+        for b in basis:
+            b = int(format(b, mirror)[::-1], 2)
+            run += [v ^ b for v in run]
+        out += run
     out.remove(0)  # F(0) = 0
     out.sort()
     return out
@@ -207,16 +321,19 @@ _BIT_CHAR = [bytes(0x31 if x >> r & 1 else 0x30 for x in range(256)) for r in ra
 def _bit_columns(vectors, bits):
     """cols[q]: the indices j with bit q of vectors[j] set, as a bitset over j.
 
-    The vectors are packed little-endian, w = ceil(bits / 8) bytes each, into
-    one byte string.  Column q is the stride-w slice of byte q // 8, which
-    ``bytes.translate`` turns into one ASCII digit per vector; reversed, so
-    that vector j lands on bit j, it is read by ``int(..., 2)``.  Every step
-    runs in C, so the columns take time linear in len(vectors) * bits.
+    The vectors are packed by ``array`` into one byte string, little-endian,
+    one unsigned int of w bytes each (w >= 3, checked on import).  Column q
+    is the stride-w slice of byte q // 8, which ``bytes.translate`` turns
+    into one ASCII digit per vector; reversed, so that vector j lands on
+    bit j, it is read by ``int(..., 2)``.  Every step runs in C, so the
+    columns take time linear in len(vectors) * bits.
     """
     if not vectors:
         return [0] * bits
-    w = (bits + 7) >> 3
-    packed = b"".join(v.to_bytes(w, "little") for v in vectors)
+    packed = array("I", vectors)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    w, packed = packed.itemsize, packed.tobytes()
     return [int(packed[q >> 3::w].translate(_BIT_CHAR[q & 7])[::-1], 2) for q in range(bits)]
 
 

@@ -12,6 +12,8 @@ Dunder names are exempt.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,13 @@ def test_checker_finds_a_leftover_definition():
 def test_every_definition_is_referenced():
     sources = {p.stem: p.read_text() for p in PACKAGE}
     assert unreferenced_definitions(sources) == []
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # together they cost a fresh lie2 process several milliseconds; -I keeps
+    # the environment (PYTHONPATH, user site) out of the child
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lie2.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-I", "-c", code, str(SRC.parent)],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"

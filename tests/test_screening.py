@@ -5,6 +5,7 @@ Every constructed ideal is double-checked here through the spinning oracle
 brute-force simplicity oracle; the two routes must never disagree.
 """
 
+import pickle
 import random
 from collections import Counter
 from itertools import combinations
@@ -72,8 +73,10 @@ from lie2.screening import (
     VERDICT_OUT_OF_SCOPE,
     VERDICT_PASSES,
     VERDICT_WITNESS,
+    DimBoundReport,
     DimensionTransfer,
     ObstructionReport,
+    ScreenResult,
     _pack,
     check_dim_bound,
     dimension_transfer,
@@ -1053,3 +1056,23 @@ def test_axiom_verdicts_and_toral_rank_are_invariant_under_a_change_of_basis(bui
     # t_0^[2] = 0; a root vector squares to 0 already, so the torus is where this shows
     bad_tm = TwoMap((0,) + tm.images[1:])
     assert not verify_two_map(g, bad_tm).ok and not verify_two_map(*rebase(g, bad_tm, seed)).ok
+
+
+def test_result_records_are_frozen_values():
+    full = DimensionTransfer("DimsEqual", 3, 2, 2, 2, 2)
+    assert full == DimensionTransfer("DimsEqual", 3, 2, 2, 2, 2)
+    assert hash(full) == hash(DimensionTransfer("DimsEqual", 3, 2, 2, 2, 2))
+    assert full != DimensionTransfer("HypothesisNotMet") and full != ("DimsEqual", 3, 2, 2, 2, 2)
+    assert DimensionTransfer("HypothesisNotMet").witness is None
+    assert ScreenResult(VERDICT_OUT_OF_SCOPE, reason="r") == ScreenResult(VERDICT_OUT_OF_SCOPE, None, "r")
+    assert repr(DimBoundReport(3, 3, 12, True)) == \
+        "DimBoundReport(independent_roots=3, rank=3, dim=12, ok=True)"
+    assert pickle.loads(pickle.dumps(full)) == full
+    with pytest.raises(AttributeError):
+        full.status = "HypothesisNotMet"
+    with pytest.raises(AttributeError):
+        del full.witness
+    for args, kwargs in (((), {}), (("v",), {"verdict": "w"}), (("v",), {"extra": 1}),
+                         (("v", None, None, None, None), {})):
+        with pytest.raises(TypeError):
+            ScreenResult(*args, **kwargs)

@@ -6,21 +6,28 @@ algebra whose squaring map is invertible but fixes nothing over GF(2), so
 its toral rank grows from 0 to 2 when the scalars reach GF(8).
 """
 
+import importlib.util
 import random
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from lie2.algebra import LieAlgebra, abelian, center
 from lie2.errors import BudgetExceededError, FieldTooSmallError, PreconditionError
 from lie2.field import gf
+from lie2.fileio import loads
 from lie2.fixtures import (
     delta0,
     delta2,
     f6,
     f6n,
     f7,
+    fixture,
     gl,
     gltor,
+    graded,
     permute_basis,
     rank2sq,
     sl,
@@ -36,7 +43,10 @@ from lie2.tori import (
     TORAL_ENUM_BITS,
     Torus,
     _bit_columns,
+    _cover,
     _max_toral_span,
+    _torals_sliced,
+    _torals_solved,
     is_torus,
     maximal_torus,
     toral_basis,
@@ -117,8 +127,18 @@ CORPUS = {
 CORPUS.update((label, build) for label, build in vacuity_family() if label.startswith("u2_"))
 
 
+def _any_cover(g):
+    """A vertex cover of the bracket graph without the rule's bound: in index
+    order, each vector joined to one already left out joins the cover."""
+    cover, out = [], []
+    for i, row in enumerate(g.table):
+        (cover if any(row[j] for j in out) else out).append(i)
+    return cover
+
+
 def test_toral_elements_incremental_matches_direct():
-    # the bit-sliced kernel against the definition, over GF(2), GF(4), GF(8)
+    # both kernels, and the one the rule picks, against the definition, over
+    # GF(2), GF(4), GF(8); the solve walk is forced with an unbounded cover
     checked = 0
     for name, build in CORPUS.items():
         g, tm = build()
@@ -128,8 +148,89 @@ def test_toral_elements_incremental_matches_direct():
             gk, tmk = extend_scalars(g, tm, k) if k > 1 else (g, tm)
             direct = [v for v in range(1, 1 << (k * g.dim)) if square(gk, tmk, v) == v]
             assert toral_elements(gk, tmk) == direct, (name, k)
+            assert _torals_sliced(gk, tmk) == direct, (name, k)
+            assert _torals_solved(gk, tmk, _any_cover(gk)) == direct, (name, k)
             checked += 1
     assert checked == 46
+
+
+def _perfbench_inputs():
+    """The benchmark's input module, which builds its algebras without lie2."""
+    module = sys.modules.get("perfbench_inputs")
+    if module is None:
+        path = Path(__file__).parent.parent / "perfbench" / "inputs.py"
+        spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+        module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module
+
+
+def _workload_algebras(workload, seeds=(1, 2, 3)):
+    inputs = _perfbench_inputs()
+    return [(op.name, loads(op.text)) for seed in seeds for op in inputs.BUILDERS[workload](seed)]
+
+
+KERNEL_CASES = {
+    "delta0_3333333": lambda: delta0((3,) * 7),
+    "graded_nil3": lambda: graded({1: 2, 2: 2, 3: 1, 4: 2, 5: 1, 6: 1, 7: 1}, nil_dim=3),
+}
+
+
+def test_kernels_agree_on_the_screen_workload_and_at_the_ceiling():
+    cases = _workload_algebras("screen") + [(name, build()) for name, build in KERNEL_CASES.items()]
+    assert len(cases) == 3 * 25 + 2
+    for name, (g, tm) in cases:
+        cover = _cover(g)
+        assert cover is not None, name  # root-vector bases: the solve walk runs
+        solved = _torals_solved(g, tm, cover)
+        assert solved == _torals_sliced(g, tm) == toral_elements(g, tm), name
+        assert solved and all(square(g, tm, t) == t for t in solved[:: max(1, len(solved) // 50)])
+
+
+def _sparse_algebra(data, dim, k):
+    f = gf(k)
+    top = (1 << (k * dim)) - 1
+    pairs = {}
+    for i, j, v in data.draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1),
+                                                st.integers(1, top)), max_size=dim)):
+        if i != j:
+            pairs[(min(i, j), max(i, j))] = v
+    images = data.draw(st.lists(st.integers(0, top), min_size=dim, max_size=dim))
+    return LieAlgebra(f, dim, pairs, "sparse"), TwoMap(images)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_kernels_match_the_definition_on_sparse_random_tables(data):
+    # the kernels read only the raw bracket table and the 2-map images, so
+    # neither needs the axioms to hold
+    k = data.draw(st.sampled_from((1, 2)))
+    dim = data.draw(st.integers(1, 8))
+    g, tm = _sparse_algebra(data, dim, k)
+    direct = [v for v in range(1, 1 << (k * dim)) if square(g, tm, v) == v]
+    assert _torals_sliced(g, tm) == direct
+    assert _torals_solved(g, tm, _any_cover(g)) == direct
+    assert toral_elements(g, tm) == direct
+
+
+SLICED_BY_RULE = {
+    "sl4": lambda: sl(4), "gl4": lambda: gl(4), "psl4": lambda: fixture("psl4"),
+    "witt3_gf4": lambda: extend_scalars(*witt(3), 2), "f6_gf4": lambda: extend_scalars(*f6(), 2),
+}
+
+
+def test_rule_picks_the_solve_walk_on_root_vector_bases():
+    for dims in ((2,) * 7, (3,) * 7):
+        assert _cover(delta0(dims)[0]) == [0, 1, 2]  # the torus covers every bracket
+    assert len(_cover(u2()[0])) == 5  # the torus, and two vectors for the extra brackets
+
+
+def test_rule_keeps_the_bit_sliced_kernel_where_the_cover_is_large():
+    for name, build in SLICED_BY_RULE.items():
+        assert _cover(build()[0]) is None, name
+    for name, (g, tm) in _workload_algebras("rank"):
+        for k in (1, 2):
+            assert _cover(extend_scalars(g, tm, k)[0] if k > 1 else g) is None, (name, k)
 
 
 @pytest.mark.parametrize("bits", range(1, TORAL_ENUM_BITS + 1))
