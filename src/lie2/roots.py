@@ -37,11 +37,12 @@ from .algebra import (
     acts_nilpotently,
     bracket_span,
     derived_subalgebra,
+    verify_lie,
 )
 from .errors import NonToralBasisError, PreconditionError, SplitFailureError
 from .linalg import Subspace, kernel_of_map, rref_rows, vector
 from .record import Record
-from .restricted import TwoMap, jcs_decompose, span_of_squares
+from .restricted import TwoMap, jcs_decompose, span_of_squares, verify_two_map
 from .tori import Torus
 
 
@@ -145,7 +146,35 @@ def root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition
     overshoots at some toral and raises NonToralBasisError there; since
     the total never shrinks, checking after each toral gives the verdict
     of checking at the end.
+
+    Both refusals, NonToralBasisError and SplitFailureError, presume a
+    restricted algebra.  On their path only, the Lie and 2-map axioms are
+    checked, and an input that fails them is refused as PreconditionError
+    naming its first violation.
     """
+    try:
+        return _root_decomposition(g, tm, t)
+    except (NonToralBasisError, SplitFailureError) as exc:
+        violation = _first_violation(g, tm)
+        if violation is None:
+            raise
+        raise PreconditionError(f"input is not a verified restricted algebra: {violation}") from exc
+
+
+def _first_violation(g: LieAlgebra, tm: TwoMap):
+    """The first failure of verify_lie, else of verify_two_map, as text, or None."""
+    lie = verify_lie(g)
+    if not lie.ok:
+        return "the Jacobi identity fails on e{}, e{}, e{}".format(*lie.jacobi_violations[0])
+    two = verify_two_map(g, tm)
+    if not two.ok:
+        x, j = two.adjoint_violations[0]
+        i = (x.bit_length() - 1) // g.field.k  # x is the basis vector e_i
+        return f"the 2-map fails ad(e{i}^[2]) = ad(e{i})^2 on e{j}"
+    return None
+
+
+def _root_decomposition(g: LieAlgebra, tm: TwoMap, t: Torus) -> RootDecomposition:
     f, n = g.field, g.dim
     basis = list(t.toral_basis)
     if len(rref_rows(f, basis)[0]) != t.subspace.dim:

@@ -394,12 +394,15 @@ def dispatch(dims):
     Walks the stages in priority order and, within a stage, the 168
     dual-basis changes in lexicographic order; returns ``(lemma, matrix)``
     for the first hypothesis that holds, or None when all seven dimensions
-    are equal (the tests check by enumeration that nothing else gives None).
+    are equal, at once, since no hypothesis holds on a constant pattern (the
+    tests check by enumeration that nothing else gives None).
     AlphaGammaGtBetaGamma never fires: whenever its hypothesis holds, an
     earlier stage does.
     """
     if sorted(dims) != list(_ALL_ROOTS):
         raise PreconditionError("the dispatch needs the dimensions of all seven roots")
+    if len(set(dims.values())) == 1:
+        return None
     row = [0] + [dims[lam] for lam in _ALL_ROOTS]
     relabelled = [(mat, [row[lam] for lam in pre]) for mat, pre in relabellings().items()]
     for stage in _STAGES:

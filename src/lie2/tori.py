@@ -21,9 +21,12 @@ those bits over GF(2), for every k.  Two facts make that exact:
 So the tori with a toral basis are exactly the spans of commuting toral
 sets.  :func:`maximal_torus` is the one way to a torus and the toral
 rank: it enumerates every toral and searches the GF(2)-spans of
-commuting torals for one of maximum dimension.  It reaches each span
-exactly once, through its reduced echelon basis over the raw bits, so no
-visited-set is needed.
+commuting torals for one of maximum dimension.  A reduced echelon basis
+is unique in any order of the raw bits, so the search fixes one order,
+the bit set in the most torals first, and reaches each span exactly once,
+through its reduced echelon basis in that order, with no visited-set.
+The span found is returned as its reduced echelon basis in index order,
+which depends only on the span.
 
 Toral elements are the zeros of F(x) = x^[2] + x, a quadratic map of the
 k*n raw bits of x whose cross terms are the brackets [u_a, u_b] of raw
@@ -42,8 +45,8 @@ the torus search, whose candidate sets are bitsets over toral indices,
 read the algebra's raw-bit bracket table.  The search's set-up is linear
 in the number of torals: their raw-bit columns are read in C from one
 byte string (:func:`_bit_columns`), and each search state walks its
-candidates pivot class by pivot class, stopping at the first class from
-which no span can beat the best one found so far.
+candidates pivot class by pivot class, stopping once the classes left
+are too few to beat the best span found so far.
 
 Rank values are relative to the coefficient field: over a small field a
 2-map can be invertible on an abelian subalgebra that contains no toral
@@ -343,47 +346,49 @@ def _max_toral_span(g: LieAlgebra, torals):
     The search works on the k*n raw bits of a vector, over GF(2), for every
     field degree k.  Two facts make that enough (see the module docstring):
     the GF(2)-span of commuting torals consists of torals, so each such
-    span has a basis of torals with pairwise-distinct raw-bit pivots, its
-    reduced echelon basis; and GF(2)-independent commuting torals are
+    span has a basis of torals with pairwise-distinct pivots, its reduced
+    echelon basis; and GF(2)-independent commuting torals are
     GF(2^k)-independent, so the GF(2)-dimension of the span is the
-    dimension of the torus it spans.  A state is extended only by a toral
-    that commutes with every generator, has a larger pivot than the last
-    one, and has its pivot set in no generator; it has no bit set at an
-    earlier pivot, since those lie below its own.  The generators are then
-    the span's reduced echelon basis, which is unique, so each span is
-    reached exactly once and only the best span needs reducing.
+    dimension of the torus it spans.
 
-    A state walks its candidates pivot class by pivot class, in ascending
-    pivot order, and by index within a class.  Every child from class q on
-    builds its span inside the candidates with pivot at least q, and a
-    span has a basis with distinct pivots in any order of the raw bits, so
-    in every bit order their distinct pivots bound its growth.  The bound
-    takes the smaller count of two orders: the pivot order, whose count
-    hangs on how the basis is numbered, and one that takes first the bit
-    set in the most torals, then the bit set in the most of the rest, and
-    so on, whose count does not.  The candidates only shrink along the
-    walk, so the bound only falls, and the state stops at the first class,
-    read again after each child, that cannot beat the best span.  No
-    subtree holding a longer span than the best so far is cut, so the
-    result is the first maximum span of the unpruned walk.
+    A span's reduced echelon basis is unique in any order of the raw bits,
+    so the search fixes one, once: the next bit is the one set in the most
+    torals not yet placed, ties going to the lowest index, and a toral is
+    placed at its pivot, its first set bit in that order.  ``pivots[q]`` is
+    the class of torals with pivot q.  A state is extended only by a toral
+    that commutes with every generator, has a later pivot than the last
+    one, and has its pivot set in no generator; it has no bit set at an
+    earlier pivot, since those come before its own.  The generators are
+    then the span's reduced echelon basis in this order, so each span is
+    reached exactly once.
+
+    A state walks its candidates class by class, in the order, and by index
+    within a class.  Every child from class c on builds its span inside the
+    classes from c on, with distinct pivots, so the number of those classes
+    bounds its growth.  The state stops at the first child that cannot beat
+    the best span.  No subtree holding a longer span than the best so far
+    is cut, so the result is the first maximum span of the unpruned walk.
+    It is returned as its reduced echelon basis over the raw bits in index
+    order, which depends only on the span, not on the search order.
 
     Candidate sets are bitsets over toral indices.  The set-up is linear in
     the number m of torals: the bit columns ``has[q]`` (the torals with raw
-    bit q set) are built in C by :func:`_bit_columns`, the pivot classes
-    ``pivots[q]`` (the torals with pivot q) follow as has[q] minus the
-    columns below q, and a toral's successors, the torals that may follow
-    it as generators, are computed from ``g.raw`` only when it is visited.
-    Returns (rows, generators).
+    bit q set) are built in C by :func:`_bit_columns`, the order and its
+    classes follow from them, and a toral's successors, the torals that may
+    follow it as generators, are computed from ``g.raw`` only when it is
+    visited.  Returns (rows, generators).
     """
-    f, k = g.field, g.field.k
-    bits = k * g.dim
+    bits = g.field.k * g.dim
     everyone = (1 << len(torals)) - 1
     has = _bit_columns(torals, bits)
-    pivots = []           # pivots[q]: torals with pivot q
-    below = 0
-    for col in has:
-        pivots.append(col & ~below)
-        below |= col
+    order = []            # the bit order, up to the last bit that places a toral
+    pivots = [0] * bits   # pivots[q]: torals with pivot q
+    left = everyone
+    while left:
+        q = max(range(bits), key=lambda q: (has[q] & left).bit_count())
+        order.append(q)
+        pivots[q] = has[q] & left
+        left ^= pivots[q]
     table = g.raw
     adj = {}
 
@@ -409,31 +414,17 @@ def _max_toral_span(g: LieAlgebra, torals):
             s = adj[i] = everyone & ~drop
         return s
 
-    # classes[c]: the torals whose first set bit in the second bit order is
-    # its c-th bit, the bit set in the most torals not in an earlier class
-    classes = []
-    left = everyone
-    while left:
-        q = max(range(bits), key=lambda q: (has[q] & left).bit_count())
-        classes.append(has[q] & left)
-        left &= ~has[q]
-
-    def spread(s):
-        """Distinct pivots of the torals in s, in the second bit order."""
-        return sum(1 for c in classes if s & c)
-
     best: tuple = ()
 
     def visit(gens, cand):
         nonlocal best
         if len(gens) > len(best):
             best = gens
-        pivset = [q for q in range(bits) if cand & pivots[q]]
-        for i, q in enumerate(pivset):
-            # cand holds the classes from q on, inside which every child from here
-            # builds its span; the children of class q take generators above it
-            reach = len(gens) + min(len(pivset) - i, spread(cand))
-            rest = cand & pivots[q]
+        classes = [c for c in (cand & pivots[q] for q in order) if c]
+        for i, rest in enumerate(classes):
+            # the children from here build their spans inside classes i on,
+            # and the children of class i take generators from later classes
+            reach = len(gens) + len(classes) - i
             cand ^= rest
             while rest:
                 if reach <= len(best):
@@ -446,7 +437,8 @@ def _max_toral_span(g: LieAlgebra, torals):
                     visit(gens + (torals[idx],), sub)
 
     visit((), everyone)
-    return tuple(rref_rows(f, list(best))[0]), best
+    gens = rref_rows(_F2, list(best))[0]
+    return tuple(rref_rows(g.field, gens)[0]), tuple(gens)
 
 
 def maximal_torus(g: LieAlgebra, tm: TwoMap) -> Torus:

@@ -277,6 +277,11 @@ def files(tmp_path_factory):
     pairs[(0, 1)] ^= 1  # bit 0 of bracket (0, 1) flipped: [t_0, t_1] = t_0
     out["u2jacobi"] = str(root / "u2jacobi.l2a")
     save(LieAlgebra(g.field, g.dim, pairs, "u2jacobi"), tm, out["u2jacobi"])
+    # one 2-map image replaced by e0 + e1: f6's e0 and gl(2)'s e3 (E22)
+    for name, build, i in (("f6twomap", f6, 0), ("gl2twomap", lambda: gl(2), 3)):
+        g, tm = build()
+        out[name] = str(root / f"{name}.l2a")
+        save(g, TwoMap(tm.images[:i] + (0b11,) + tm.images[i + 1:]), out[name])
     return out
 
 
@@ -422,6 +427,20 @@ def test_cli_decompose_names_a_torus_that_is_maximal_only_over_this_field(tmp_pa
         )
     else:
         assert code == 0 and "torus dim 2, cartan dim 2, nil dim 0\n" in captured.out
+
+
+@pytest.mark.parametrize("name,violation", [
+    ("f6twomap", "the 2-map fails ad(e0^[2]) = ad(e0)^2 on e4"),
+    ("gl2twomap", "the 2-map fails ad(e3^[2]) = ad(e3)^2 on e0"),
+    ("u2jacobi", "the Jacobi identity fails on e0, e1, e4"),
+])
+def test_cli_decompose_blames_an_input_that_fails_verify(files, capsys, name, violation):
+    # each input fails verify, so the decomposition's refusal names its
+    # first violation rather than a torus, basis or split it cannot have
+    assert main(["decompose", files[name]]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: input is not a verified restricted algebra: {violation}\n"
 
 
 def test_cli_screen_exit_codes(files, capsys):

@@ -13,7 +13,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from lie2.algebra import LieAlgebra, center, verify_lie
+from lie2.algebra import LieAlgebra, center, centralizer, verify_lie
 from lie2.errors import PreconditionError
 from lie2.field import gf
 from lie2.fixtures import f6, gl, gltor, torus, witt
@@ -30,6 +30,7 @@ from lie2.restricted import (
     two_envelope,
     verify_two_map,
 )
+from lie2.tori import maximal_torus
 
 F2 = gf(1)
 
@@ -285,6 +286,19 @@ def test_split_exhaustive_against_oracle(build):
         assert is_semisimple(g, tm, xs)
         assert is_two_nilpotent(g, tm, xn)
         assert (xs, xn) == brute_split(g, tm, x)
+
+
+def test_split_refuses_a_two_map_that_fails_the_adjoint_axiom():
+    # gl(2) with E22^[2] := E11 + E12: the iterates of E22 settle on E11 + E12,
+    # which leaves no commuting semisimple/2-nilpotent split of E22, an
+    # element of the Cartan subalgebra span{E11, E22}
+    g, tm = gl(2)
+    e22 = unit(F2, 3)
+    tm = TwoMap(tm.images[:3] + (unit(F2, 0) ^ unit(F2, 1),))
+    assert verify_lie(g).ok and not verify_two_map(g, tm).ok
+    assert centralizer(g, maximal_torus(g, tm).subspace).contains(e22)
+    with pytest.raises(PreconditionError, match="no commuting semisimple/2-nilpotent split"):
+        jcs_decompose(g, tm, e22)
 
 
 def test_split_unique_on_small_algebras():

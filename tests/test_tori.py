@@ -293,21 +293,35 @@ def test_bitset_search_matches_generic_search(name, k):
     assert is_torus(g, tm, Subspace(f, g.dim, rows))
 
 
+def _bit_order(g, torals):
+    """The search's bit order, from its definition: next, the raw bit set in the
+    most torals that have no bit set earlier in the order, ties to the lowest
+    bit; it ends once every toral has a bit in it."""
+    order, left = [], list(torals)
+    while left:
+        q = max(range(g.field.k * g.dim), key=lambda q: sum(t >> q & 1 for t in left))
+        order.append(q)
+        left = [t for t in left if not t >> q & 1]
+    return order
+
+
 def _echelon_walk(g, torals):
     """Unpruned reference walk: every chain of pairwise-commuting torals with
-    increasing pivots (lowest set bits) in which no generator has the pivot of a
-    later one set, so that the chain is its span's reduced echelon basis over
-    GF(2).  Each step takes candidates pivot class first, then by index."""
-    piv = [(t & -t).bit_length() - 1 for t in torals]
+    increasing pivots (first set bits in :func:`_bit_order`) in which no
+    generator has the pivot of a later one set, so that the chain is its span's
+    reduced echelon basis over GF(2) in that order.  Each step takes
+    candidates pivot class first, then by index."""
+    rank = {q: r for r, q in enumerate(_bit_order(g, torals))}
+    piv = [min((q for q in rank if t >> q & 1), key=rank.get) for t in torals]
     commute = [[g.bracket(s, t) == 0 for t in torals] for s in torals]
-    order = sorted(range(len(torals)), key=lambda j: (piv[j], j))
+    order = sorted(range(len(torals)), key=lambda j: (rank[piv[j]], j))
 
     def visit(chain, last):
         yield tuple(torals[i] for i in chain)
         for j in order:
-            if piv[j] > last and all(commute[i][j] and not torals[i] >> piv[j] & 1
-                                     for i in chain):
-                yield from visit(chain + [j], piv[j])
+            if rank[piv[j]] > last and all(commute[i][j] and not torals[i] >> piv[j] & 1
+                                           for i in chain):
+                yield from visit(chain + [j], rank[piv[j]])
 
     return visit([], -1)
 
@@ -331,15 +345,17 @@ PRUNE_CASES = [("f6", 1), ("f6", 2), ("gltor", 2), ("rank2sq", 2), ("gl2", 2), (
 @pytest.mark.parametrize("name,k", PRUNE_CASES, ids=[f"{n}-gf{2 ** k}" for n, k in PRUNE_CASES])
 @pytest.mark.parametrize("relabel", range(3))
 def test_pruned_search_returns_first_longest_chain(name, k, relabel):
-    # the growth bounds cut only subtrees that cannot beat the best span, so
-    # the generators are those of the unpruned walk on every basis numbering
+    # the growth bound cuts only subtrees that cannot beat the best span, so
+    # the span is that of the unpruned walk on every basis numbering, and the
+    # generators are its reduced echelon basis over the raw bits in index order
     g, tm = PRUNE_CORPUS[name]()
     perm = random.Random(f"{name}/{relabel}").sample(range(g.dim), g.dim)
     g, tm = permute_basis(g, tm, perm)
     if k > 1:
         g, tm = extend_scalars(g, tm, k)
     torals = toral_elements(g, tm)
-    assert _max_toral_span(g, torals)[1] == _first_longest_chain(g, torals)
+    first = _first_longest_chain(g, torals)
+    assert _max_toral_span(g, torals)[1] == tuple(rref_rows(F2, list(first))[0])
 
 
 def _span(vectors):
@@ -471,6 +487,14 @@ def test_maximal_torus_known_ranks_on_fixtures():
         t = maximal_torus(g, tm)
         assert t.dim == rank, g.name
         assert is_torus(g, tm, t.subspace)
+
+
+def test_maximal_torus_sl5_has_rank_4():
+    # sl(5) has 10,416 torals; its split rank is 4
+    g, tm = sl(5)
+    t = maximal_torus(g, tm)
+    assert t.dim == 4
+    assert is_torus(g, tm, t.subspace)
 
 
 # -- toral rank ------------------------------------------------------------------------
